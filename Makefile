@@ -14,9 +14,9 @@ LOADP99 ?= 2s
 LOAD_OUT ?= /tmp/easyboload.json
 LOAD_OUT_DURABLE ?= /tmp/easyboload-durable.json
 
-.PHONY: check vet fmt lint staticcheck build test race cover fuzz-smoke load-smoke bench-smoke bench bench-json bench-gate smoke crash-smoke cluster-smoke
+.PHONY: check vet fmt lint staticcheck build test perfbench race cover fuzz-smoke load-smoke bench-smoke bench bench-json bench-gate smoke crash-smoke cluster-smoke
 
-check: vet fmt lint staticcheck build test race bench-smoke fuzz-smoke load-smoke
+check: vet fmt lint staticcheck build test perfbench race bench-smoke fuzz-smoke load-smoke
 
 vet:
 	$(GO) vet ./...
@@ -50,6 +50,14 @@ build:
 
 test: build
 	$(GO) test ./...
+
+# perfbench is its own module, so the root `./...` never compiles it, yet it
+# builds on core.NewAskTell and bo.Run. Vet it and run its tests without
+# -short (about 7 s): TestWorkloadsTiny runs the sync driver with its
+# correctness checks.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test -count=1 .
 
 # Every package that spawns goroutines outside tests runs under the race
 # detector: the executor slot pool, the ask/tell machine, the session-actor

@@ -12,7 +12,7 @@
 // Absolute FOM values differ from the paper (the simulator substrate is not
 // HSPICE+PDK); the comparisons of interest — which algorithm wins, how
 // results degrade with batch size, and the async time savings — are
-// reproduced. See EXPERIMENTS.md.
+// reproduced.
 package main
 
 import (

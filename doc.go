@@ -128,10 +128,14 @@
 // (initial-design point, queued resubmission of a failed evaluation, or the
 // acquisition maximizer with every pending point hallucinated), and
 // Observe(x, y, err) absorbs one outcome in any order, routing failures
-// through the shared failure policy. Everything that runs evaluations is a
-// thin adapter over that machine: Optimize's executor-driven loop binds
-// suggestions to executor launches, OptimizeParallel and Loop bind them to
-// caller-owned workers, and the easybod daemon binds them to HTTP.
+// through the shared failure policy. One loop, core.Drive, runs that machine
+// on an executor: it fills every idle worker from Suggest and feeds every
+// completion back. Optimize (every algorithm but DE) and OptimizeParallel
+// are "build a machine, call Drive". Synchronous batch BO is the machine
+// plus a barrier (a batch launches only once nothing is pending), and random
+// search is a machine whose initial design is the whole budget. Loop hands
+// suggestions to caller-owned workers, and the easybod daemon binds them to
+// HTTP.
 //
 // Command easybod (cmd/easybod) serves many concurrent optimization
 // sessions over a JSON HTTP API — POST /sessions, POST /sessions/{id}/ask,

@@ -2,7 +2,6 @@ package easybo
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -324,10 +323,6 @@ func OptimizeParallel(p Problem, opts Options) (*Result, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
-	loop, err := NewLoop(p, opts)
-	if err != nil {
-		return nil, err
-	}
 	if opts.MaxEvals <= 0 {
 		opts.MaxEvals = 150
 	}
@@ -336,7 +331,17 @@ func OptimizeParallel(p Problem, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fh := core.NewFailureHandler(policy, a.MaxFailures, opts.MaxEvals)
+	res := &Result{Workers: opts.Workers}
+	at, err := newAskTell(ip, opts, core.AskTellConfig{
+		MaxEvals:    opts.MaxEvals,
+		Failure:     policy,
+		MaxFailures: a.MaxFailures,
+		OnResult:    func(r sched.Result) { res.Evaluations = append(res.Evaluations, evalFromResult(r)) },
+		OnFailure:   func(r sched.Result) { res.Failed = append(res.Failed, evalFromResult(r)) },
+	})
+	if err != nil {
+		return nil, err
+	}
 	gopts := sched.GoOptions{Context: a.Context, Timeout: a.EvalTimeout, Retries: a.Retries}
 	var ex *sched.GoExecutor
 	if ip.NewEval != nil && a.EvalTimeout == 0 && a.Context == nil {
@@ -359,68 +364,16 @@ func OptimizeParallel(p Problem, opts Options) (*Result, error) {
 		}, gopts)
 	}
 
-	launched, completed := 0, 0
-	var evals, failed []Evaluation
-	for launched < opts.MaxEvals && ex.Idle() > 0 {
-		x, err := loop.Suggest()
-		if err != nil {
-			return nil, err
-		}
-		if err := ex.Launch(x); err != nil {
-			return nil, err
-		}
-		launched++
+	if err := core.Drive(a.Context, ex, at); err != nil {
+		return nil, err
 	}
-	for completed < opts.MaxEvals {
-		r, ok := ex.Wait()
-		if !ok {
-			return nil, errors.New("easybo: worker pool drained early")
-		}
-		if r.Err != nil {
-			failed = append(failed, evalFromResult(r))
-			action, ferr := fh.Handle(r)
-			switch action {
-			case core.ActionSkip:
-				loop.Forget(r.X)
-				completed++ // the failure consumed one budget slot
-			case core.ActionResubmit:
-				if err := ex.Launch(r.X); err != nil {
-					return nil, fmt.Errorf("easybo: resubmit of failed evaluation %d: %w", r.ID, err)
-				}
-				continue
-			default: // core.ActionAbort
-				return nil, fmt.Errorf("easybo: %w", ferr)
-			}
-		} else {
-			completed++
-			if err := loop.Observe(r.X, r.Y); err != nil {
-				return nil, err
-			}
-			evals = append(evals, evalFromResult(r))
-		}
-		if launched < opts.MaxEvals {
-			x, err := loop.Suggest()
-			if err != nil {
-				return nil, err
-			}
-			if err := ex.Launch(x); err != nil {
-				return nil, err
-			}
-			launched++
-		}
-	}
-	bestX, bestY := loop.Best()
-	var makespan float64
-	for _, set := range [][]Evaluation{evals, failed} {
+	res.BestX, res.BestY = at.Best()
+	for _, set := range [][]Evaluation{res.Evaluations, res.Failed} {
 		for _, e := range set {
-			if e.End > makespan {
-				makespan = e.End
+			if e.End > res.Seconds {
+				res.Seconds = e.End
 			}
 		}
 	}
-	return &Result{
-		BestX: bestX, BestY: bestY,
-		Evaluations: evals, Failed: failed,
-		Workers: opts.Workers, Seconds: makespan,
-	}, nil
+	return res, nil
 }

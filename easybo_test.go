@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"easybo"
 	"easybo/circuits"
@@ -184,6 +185,44 @@ func TestOptimizeParallelRealGoroutines(t *testing.T) {
 	}
 	if res.BestX == nil {
 		t.Fatal("no best")
+	}
+}
+
+func TestOptimizeParallelStartsEveryWorker(t *testing.T) {
+	// More workers than design points: the first fill must still start
+	// every worker (past the design, on random points until the surrogate
+	// has data). The first Workers calls hold until all of them are in
+	// flight at once, or give up after a deadline.
+	const workers = 6
+	p := circuits.Branin()
+	base := p.Objective
+	var started atomic.Int64
+	var timedOut atomic.Bool
+	all := make(chan struct{})
+	p.Objective = func(x []float64) float64 {
+		switch n := started.Add(1); {
+		case n == workers:
+			close(all)
+		case n < workers:
+			select {
+			case <-all:
+			case <-time.After(10 * time.Second):
+				timedOut.Store(true)
+			}
+		}
+		return base(x)
+	}
+	res, err := easybo.OptimizeParallel(p, easybo.Options{
+		Workers: workers, MaxEvals: 12, Seed: 3, InitPoints: 2, FitIters: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if timedOut.Load() {
+		t.Fatalf("fewer than %d workers ran at once", workers)
+	}
+	if len(res.Evaluations) != 12 {
+		t.Fatalf("evaluations = %d, want 12", len(res.Evaluations))
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package bo contains the Bayesian-optimization drivers that the paper's
 // experiments run: sequential BO (EI, LCB, sequential EasyBO), synchronous
 // batch BO (pBO, pHCBO, EasyBO-S, EasyBO-SP), asynchronous batch BO
-// (EasyBO-A and full EasyBO via internal/core), and the non-BO baselines
-// (differential evolution, random search).
+// (EasyBO-A and full EasyBO), and the non-BO baselines (differential
+// evolution, random search). All but DE are a core.AskTell run by
+// core.Drive.
 //
 // All drivers execute on the virtual-time engine of internal/sched, so the
 // "simulation time" accounting of Tables I/II and Figures 4/6 is exact and
@@ -91,7 +92,7 @@ type Config struct {
 	Ctx context.Context
 }
 
-func (c *Config) defaults(dim int) {
+func (c *Config) defaults() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 1
 	}
@@ -131,7 +132,6 @@ func (c *Config) defaults(dim int) {
 	if c.HCRadius <= 0 {
 		c.HCRadius = 0.1
 	}
-	_ = dim
 }
 
 // History is the full trace of one optimization run.

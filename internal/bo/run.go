@@ -11,11 +11,17 @@ import (
 	"easybo/internal/optimize"
 	"easybo/internal/sched"
 	"easybo/internal/stats"
+	"easybo/internal/surrogate"
 )
 
 // Run executes one optimization run of the configured algorithm on the
 // problem, entirely in virtual time, and returns its history. Runs are
 // deterministic given Config.Seed.
+//
+// Every algorithm but DE is an AskTell driven by core.Drive on B virtual
+// workers: the asynchronous ones with the EasyBO proposer, the synchronous
+// and sequential ones with a batch selector (the same loop plus a barrier),
+// and random search as a machine whose initial design is the whole budget.
 func Run(p *objective.Problem, cfg Config) (*History, error) {
 	if p == nil {
 		return nil, errors.New("bo: nil problem")
@@ -23,24 +29,69 @@ func Run(p *objective.Problem, cfg Config) (*History, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.defaults(p.Dim())
+	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
+	var recs, failed []sched.Result
+	at := core.AskTellConfig{
+		MaxEvals: cfg.MaxEvals,
+		Lo:       p.Lo, Hi: p.Hi,
+		Rng:      rng,
+		OnResult: func(r sched.Result) { recs = append(recs, r) },
+
+		Failure:     cfg.Failure,
+		MaxFailures: cfg.MaxFailures,
+		OnFailure:   func(r sched.Result) { failed = append(failed, r) },
+	}
 	switch cfg.Algo {
 	case AlgoDE:
 		return runDE(p, cfg, rng)
 	case AlgoRandom:
-		return runRandom(p, cfg, rng)
+		at.Init = uniformDesign(p, cfg.MaxEvals, rng)
 	case AlgoEI, AlgoLCB, AlgoEasyBOSeq, AlgoPortfolio:
 		cfg.BatchSize = 1
-		return runSync(p, cfg, rng)
-	case AlgoPBO, AlgoPHCBO, AlgoEasyBOS, AlgoEasyBOSP, AlgoTS:
-		return runSync(p, cfg, rng)
-	case AlgoEasyBOA, AlgoEasyBO:
-		return runAsync(p, cfg, rng)
+		fallthrough
+	case AlgoPBO, AlgoPHCBO, AlgoEasyBOS, AlgoEasyBOSP, AlgoTS, AlgoEasyBOA, AlgoEasyBO:
+		if err := cfg.modelDriven(p, rng, &at); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("bo: unknown algorithm %q", cfg.Algo)
 	}
+	machine, err := core.NewAskTell(at)
+	if err != nil {
+		return nil, err
+	}
+	if err := core.Drive(cfg.Ctx, sched.NewVirtual(cfg.BatchSize, p.EvalWithCost), machine); err != nil {
+		return nil, err
+	}
+	return newHistory(cfg.Algo, cfg.BatchSize, recs, failed), nil
+}
+
+// modelDriven gives the machine its surrogate manager and the paper's random
+// initial design, in that order of rng use, and its acquisition: the EasyBO
+// proposer for the asynchronous algorithms, and for the synchronous and
+// sequential ones a batch selector that picks min(B, remaining) points at
+// each barrier.
+func (c Config) modelDriven(p *objective.Problem, rng *rand.Rand, at *core.AskTellConfig) error {
+	mm, err := newModelManager(p.Lo, p.Hi, rng, c)
+	if err != nil {
+		return err
+	}
+	at.Fit = mm.Fit
+	at.Init = initialDesign(p, c.InitPoints, rng)
+	if c.Algo.IsAsync() {
+		at.Proposer = &core.Proposer{Lambda: c.Lambda, Penalize: c.Algo == AlgoEasyBO, MaxOpts: c.acqOpts()}
+		return nil
+	}
+	sel, err := c.selectorFor()
+	if err != nil {
+		return err
+	}
+	at.SelectBatch = func(m surrogate.Surrogate, budget int, best float64) ([][]float64, error) {
+		return sel.SelectBatch(m, min(c.BatchSize, budget), p.Lo, p.Hi, best, rng)
+	}
+	return nil
 }
 
 // initialDesign draws the paper's random initial design (LHS over the box).
@@ -58,18 +109,30 @@ func initialDesign(p *objective.Problem, n int, rng *rand.Rand) [][]float64 {
 	return pts
 }
 
-func (c Config) acqOpts(dim int) optimize.MaximizeOptions {
+// uniformDesign draws n points uniformly over the box, in launch order.
+func uniformDesign(p *objective.Problem, n int, rng *rand.Rand) [][]float64 {
+	pts := make([][]float64, n)
+	for i := range pts {
+		x := make([]float64, p.Dim())
+		for j := range x {
+			x[j] = p.Lo[j] + rng.Float64()*(p.Hi[j]-p.Lo[j])
+		}
+		pts[i] = x
+	}
+	return pts
+}
+
+func (c Config) acqOpts() optimize.MaximizeOptions {
 	o := optimize.MaximizeOptions{Candidates: c.AcqCandidates, Refine: c.AcqRefine}
 	if o.Refine == 0 {
 		o.Refine = 2
 	}
-	_ = dim
 	return o
 }
 
 // selectorFor builds the batch selector for the sync/sequential algorithms.
-func (c Config) selectorFor(dim int) (batchSelector, error) {
-	opts := c.acqOpts(dim)
+func (c Config) selectorFor() (batchSelector, error) {
+	opts := c.acqOpts()
 	switch c.Algo {
 	case AlgoEI:
 		return eiSelector{xi: c.XiEI, opts: opts}, nil
@@ -90,143 +153,6 @@ func (c Config) selectorFor(dim int) (batchSelector, error) {
 	default:
 		return nil, fmt.Errorf("bo: %q is not a synchronous algorithm", c.Algo)
 	}
-}
-
-// runSync implements the synchronous (and sequential, B=1) drivers: fit,
-// select a batch, evaluate it in parallel, wait for the whole batch. Failed
-// evaluations (NaN objectives) are handled per cfg.Failure like the async
-// drivers: a skipped failure consumes budget without reaching the
-// surrogate, a resubmitted one re-runs inside its batch barrier.
-func runSync(p *objective.Problem, cfg Config, rng *rand.Rand) (*History, error) {
-	sel, err := cfg.selectorFor(p.Dim())
-	if err != nil {
-		return nil, err
-	}
-	ex := sched.NewVirtual(cfg.BatchSize, p.EvalWithCost)
-	mm, err := newModelManager(p.Lo, p.Hi, rng, cfg)
-	if err != nil {
-		return nil, err
-	}
-	fh := core.NewFailureHandler(cfg.Failure, cfg.MaxFailures, cfg.MaxEvals)
-
-	var recs, failed []sched.Result
-	var obsX [][]float64
-	var obsY []float64
-	completed := 0
-	best := 0.0
-	haveBest := false
-
-	evaluateBatch := func(batch [][]float64) error {
-		for _, x := range batch {
-			if err := ex.Launch(x); err != nil {
-				return err
-			}
-		}
-		for pending := len(batch); pending > 0; {
-			if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-				return fmt.Errorf("bo: cancelled after %d of %d evaluations: %w", completed, cfg.MaxEvals, cfg.Ctx.Err())
-			}
-			r, ok := ex.Wait()
-			if !ok {
-				return errors.New("bo: executor drained unexpectedly")
-			}
-			if r.Err != nil {
-				failed = append(failed, r)
-				action, ferr := fh.Handle(r)
-				switch action {
-				case core.ActionSkip:
-					completed++ // the failure consumed one budget slot
-					pending--
-				case core.ActionResubmit:
-					if err := ex.Launch(r.X); err != nil {
-						return fmt.Errorf("bo: resubmit of failed evaluation %d: %w", r.ID, err)
-					}
-				default: // core.ActionAbort
-					return fmt.Errorf("bo: %w", ferr)
-				}
-				continue
-			}
-			completed++
-			pending--
-			recs = append(recs, r)
-			obsX = append(obsX, r.X)
-			obsY = append(obsY, r.Y)
-			if !haveBest || r.Y > best {
-				best, haveBest = r.Y, true
-			}
-		}
-		return nil
-	}
-
-	// Initial design in batches of B.
-	init := initialDesign(p, cfg.InitPoints, rng)
-	for i := 0; i < len(init); i += cfg.BatchSize {
-		end := i + cfg.BatchSize
-		if end > len(init) {
-			end = len(init)
-		}
-		if err := evaluateBatch(init[i:end]); err != nil {
-			return nil, err
-		}
-	}
-
-	for completed < cfg.MaxEvals {
-		b := cfg.BatchSize
-		if rem := cfg.MaxEvals - completed; b > rem {
-			b = rem
-		}
-		if len(obsY) == 0 {
-			return nil, errors.New("bo: no successful observation to fit a surrogate on")
-		}
-		m, err := mm.Fit(obsX, obsY)
-		if err != nil {
-			return nil, err
-		}
-		batch, err := sel.SelectBatch(m, b, p.Lo, p.Hi, best, rng)
-		if err != nil {
-			return nil, err
-		}
-		if err := evaluateBatch(batch); err != nil {
-			return nil, err
-		}
-	}
-	return newHistory(cfg.Algo, cfg.BatchSize, recs, failed), nil
-}
-
-// runAsync implements EasyBO-A and full EasyBO through core.AsyncLoop
-// (Algorithm 1). Failed evaluations (NaN objective values) are handled per
-// cfg.Failure and recorded in History.Failed; only successful completions
-// reach the surrogate and History.Records.
-func runAsync(p *objective.Problem, cfg Config, rng *rand.Rand) (*History, error) {
-	ex := sched.NewVirtual(cfg.BatchSize, p.EvalWithCost)
-	mm, err := newModelManager(p.Lo, p.Hi, rng, cfg)
-	if err != nil {
-		return nil, err
-	}
-	proposer := &core.Proposer{
-		Lambda:   cfg.Lambda,
-		Penalize: cfg.Algo == AlgoEasyBO,
-		MaxOpts:  cfg.acqOpts(p.Dim()),
-	}
-	var recs, failed []sched.Result
-	err = core.AsyncLoop(ex, core.AsyncConfig{
-		MaxEvals: cfg.MaxEvals,
-		Init:     initialDesign(p, cfg.InitPoints, rng),
-		Lo:       p.Lo, Hi: p.Hi,
-		Fit:      mm.Fit,
-		Proposer: proposer,
-		Rng:      rng,
-		OnResult: func(r sched.Result) { recs = append(recs, r) },
-
-		Ctx:         cfg.Ctx,
-		Failure:     cfg.Failure,
-		MaxFailures: cfg.MaxFailures,
-		OnFailure:   func(r sched.Result) { failed = append(failed, r) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	return newHistory(cfg.Algo, cfg.BatchSize, recs, failed), nil
 }
 
 // runDE runs the paper's differential-evolution baseline. DE evaluates
@@ -276,62 +202,4 @@ func runDE(p *objective.Problem, cfg Config, rng *rand.Rand) (*History, error) {
 		return nil, abortErr
 	}
 	return newHistory(AlgoDE, 1, recs, failed), nil
-}
-
-// runRandom is uniform random search on B parallel workers (asynchronous),
-// a sanity baseline for the harness and tests. It shares the failure policy
-// of the other drivers.
-func runRandom(p *objective.Problem, cfg Config, rng *rand.Rand) (*History, error) {
-	ex := sched.NewVirtual(cfg.BatchSize, p.EvalWithCost)
-	fh := core.NewFailureHandler(cfg.Failure, cfg.MaxFailures, cfg.MaxEvals)
-	d := p.Dim()
-	draw := func() []float64 {
-		x := make([]float64, d)
-		for j := range x {
-			x[j] = p.Lo[j] + rng.Float64()*(p.Hi[j]-p.Lo[j])
-		}
-		return x
-	}
-	var recs, failed []sched.Result
-	launched, completed := 0, 0
-	for launched < cfg.MaxEvals && ex.Idle() > 0 {
-		if err := ex.Launch(draw()); err != nil {
-			return nil, err
-		}
-		launched++
-	}
-	for completed < cfg.MaxEvals {
-		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-			return nil, fmt.Errorf("bo: cancelled after %d of %d evaluations: %w", completed, cfg.MaxEvals, cfg.Ctx.Err())
-		}
-		r, ok := ex.Wait()
-		if !ok {
-			return nil, errors.New("bo: executor drained unexpectedly")
-		}
-		if r.Err != nil {
-			failed = append(failed, r)
-			action, ferr := fh.Handle(r)
-			switch action {
-			case core.ActionSkip:
-				completed++
-			case core.ActionResubmit:
-				if err := ex.Launch(r.X); err != nil {
-					return nil, fmt.Errorf("bo: resubmit of failed evaluation %d: %w", r.ID, err)
-				}
-				continue
-			default: // core.ActionAbort
-				return nil, fmt.Errorf("bo: %w", ferr)
-			}
-		} else {
-			completed++
-			recs = append(recs, r)
-		}
-		if launched < cfg.MaxEvals {
-			if err := ex.Launch(draw()); err != nil {
-				return nil, err
-			}
-			launched++
-		}
-	}
-	return newHistory(AlgoRandom, cfg.BatchSize, recs, failed), nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"easybo/internal/sched"
+	"easybo/internal/surrogate"
 )
 
 // Proposal is one suggestion issued by the ask/tell state machine: a point
@@ -32,9 +33,19 @@ type AskTellConfig struct {
 	MaxEvals int
 	Init     [][]float64 // initial design points (required, raw coordinates)
 	Lo, Hi   []float64   // design box
-	Fit      Fitter      // surrogate refresher (required)
-	Proposer *Proposer   // acquisition engine (required)
-	Rng      *rand.Rand  // drives κ sampling and the inner maximizer
+	// Fit refreshes the surrogate, and Proposer maximizes the acquisition
+	// on it. Both are required unless the initial design covers the whole
+	// budget (random search is such a machine).
+	Fit      Fitter
+	Proposer *Proposer
+	Rng      *rand.Rand // drives κ sampling and the inner maximizer
+
+	// SelectBatch, when set, replaces Proposer with synchronous batch
+	// selection: once nothing is pending, Suggest fits the surrogate once,
+	// selects up to budget points (the remaining evaluations; the selector
+	// caps it at its batch size), and hands them out one at a time. While
+	// that batch is out, Suggest offers only resubmissions.
+	SelectBatch func(m surrogate.Surrogate, budget int, best float64) ([][]float64, error)
 
 	OnResult func(sched.Result) // observes every successful completion in order (optional)
 	// Failure selects the policy for failed evaluations (default FailAbort).
@@ -73,9 +84,11 @@ type resubmitPoint struct {
 //     the machine, consume budget silently, or queue the point for
 //     re-suggestion.
 //
-// AsyncLoop and the public easybo.Loop are thin adapters over AskTell. An
-// AskTell is not safe for concurrent use; serialize calls (the serve package
-// does so with a per-session actor goroutine).
+// Drive runs an AskTell on an executor (every virtual-engine algorithm but
+// DE, and OptimizeParallel); the public easybo.Loop and the serve sessions
+// hand its suggestions to caller-owned workers. An AskTell is not safe for
+// concurrent use; serialize calls (the serve package does so with a
+// per-session actor goroutine).
 type AskTell struct {
 	cfg AskTellConfig
 	fh  *FailureHandler
@@ -89,6 +102,7 @@ type AskTell struct {
 	obsY    []float64
 	pending []pendingPoint
 	queue   []resubmitPoint
+	batch   [][]float64 // selected synchronous batch not yet handed out
 
 	bestX []float64
 	bestY float64
@@ -98,11 +112,12 @@ type AskTell struct {
 
 // NewAskTell validates the configuration and returns a fresh state machine.
 func NewAskTell(cfg AskTellConfig) (*AskTell, error) {
+	needsModel := cfg.MaxEvals <= 0 || len(cfg.Init) < cfg.MaxEvals
 	switch {
-	case cfg.Fit == nil:
+	case needsModel && cfg.Fit == nil:
 		return nil, errors.New("core: AskTell requires a Fitter")
-	case cfg.Proposer == nil:
-		return nil, errors.New("core: AskTell requires a Proposer")
+	case needsModel && cfg.Proposer == nil && cfg.SelectBatch == nil:
+		return nil, errors.New("core: AskTell requires a Proposer or a batch selector")
 	case cfg.Rng == nil:
 		return nil, errors.New("core: AskTell requires an rng")
 	case len(cfg.Init) == 0:
@@ -144,7 +159,8 @@ func (s *AskTell) issue(x []float64, init, resubmit bool, failedID int) Proposal
 // and no failed point awaits resubmission (the caller should keep Observing
 // until Done). The order of precedence is exactly Algorithm 1's: queued
 // resubmissions first, then the initial design, then the acquisition
-// maximizer on the refreshed surrogate with all pending points hallucinated.
+// maximizer on the refreshed surrogate with all pending points hallucinated
+// — or, with a SelectBatch, the next point of the synchronous batch.
 func (s *AskTell) Suggest() (p Proposal, ok bool, err error) {
 	if s.err != nil {
 		return Proposal{}, false, s.err
@@ -168,18 +184,66 @@ func (s *AskTell) Suggest() (p Proposal, ok bool, err error) {
 		}
 		return s.issue(x, false, false, 0), true, nil
 	}
-	if len(s.obsY) == 0 {
-		return Proposal{}, false, fmt.Errorf("core: no successful observation after %d launches; cannot fit a surrogate", s.launched)
+	if s.cfg.SelectBatch != nil {
+		return s.nextInBatch()
 	}
-	m, err := s.cfg.Fit(s.obsX, s.obsY)
+	m, err := s.fit()
 	if err != nil {
-		return Proposal{}, false, fmt.Errorf("core: surrogate refresh: %w", err)
+		return Proposal{}, false, err
 	}
 	x, _, err := s.cfg.Proposer.Propose(m, s.PendingPoints(), s.cfg.Lo, s.cfg.Hi, s.cfg.Rng)
 	if err != nil {
 		return Proposal{}, false, err
 	}
 	return s.issue(x, false, false, 0), true, nil
+}
+
+// nextInBatch hands out the synchronous batch, selecting a new one only at
+// the barrier: once every point of the previous batch has been observed.
+func (s *AskTell) nextInBatch() (Proposal, bool, error) {
+	if len(s.batch) == 0 {
+		if len(s.pending) > 0 {
+			return Proposal{}, false, nil
+		}
+		m, err := s.fit()
+		if err != nil {
+			return Proposal{}, false, err
+		}
+		budget := int(^uint(0) >> 1)
+		if s.cfg.MaxEvals > 0 {
+			budget = s.cfg.MaxEvals - s.launched
+		}
+		if s.batch, err = s.cfg.SelectBatch(m, budget, s.bestY); err != nil {
+			return Proposal{}, false, err
+		}
+		if len(s.batch) == 0 {
+			return Proposal{}, false, errors.New("core: batch selector returned no points")
+		}
+	}
+	x := s.batch[0]
+	s.batch = s.batch[1:]
+	return s.issue(x, false, false, 0), true, nil
+}
+
+// fit refreshes the surrogate on the successful observations.
+func (s *AskTell) fit() (surrogate.Surrogate, error) {
+	if len(s.obsY) == 0 {
+		return nil, fmt.Errorf("core: no successful observation after %d launches; cannot fit a surrogate", s.launched)
+	}
+	m, err := s.cfg.Fit(s.obsX, s.obsY)
+	if err != nil {
+		return nil, fmt.Errorf("core: surrogate refresh: %w", err)
+	}
+	return m, nil
+}
+
+// starved reports whether the next suggestion needs a surrogate that has no
+// data yet while evaluations are still out, so Drive waits for a completion
+// instead of asking. With nothing pending, Suggest itself reports the
+// missing observation.
+func (s *AskTell) starved() bool {
+	return len(s.queue) == 0 && len(s.pending) > 0 && len(s.obsY) == 0 &&
+		!s.InInitialDesign() && !s.cfg.RandomFallback
 }
 
 // ObserveResult feeds one finished evaluation back into the machine. The

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -116,6 +117,8 @@ func TestProposeBatchSizesAndDiversity(t *testing.T) {
 	}
 }
 
+// TestAsyncLoopRunsAlgorithm1 drives an AskTell without a batch selector:
+// the asynchronous loop of Algorithm 1.
 func TestAsyncLoopRunsAlgorithm1(t *testing.T) {
 	// Objective with position-dependent costs; the loop must complete
 	// exactly MaxEvals evaluations and keep results flowing in end-time
@@ -139,7 +142,7 @@ func TestAsyncLoopRunsAlgorithm1(t *testing.T) {
 		return surrogate.NewExact(m), nil
 	}
 	var seen []sched.Result
-	err := AsyncLoop(ex, AsyncConfig{
+	err := drive(context.Background(), ex, AskTellConfig{
 		MaxEvals: 25,
 		Init:     init,
 		Lo:       lo, Hi: hi,
@@ -175,10 +178,12 @@ func TestAsyncLoopRunsAlgorithm1(t *testing.T) {
 	}
 }
 
+// TestAsyncLoopValidation covers the configurations Drive refuses: those
+// NewAskTell rejects, and a machine without a budget.
 func TestAsyncLoopValidation(t *testing.T) {
 	ex := sched.NewVirtual(1, func(x []float64) (float64, float64) { return 0, 1 })
 	rng := rand.New(rand.NewSource(5))
-	base := AsyncConfig{
+	base := AskTellConfig{
 		MaxEvals: 5,
 		Init:     [][]float64{{0.5}},
 		Lo:       []float64{0}, Hi: []float64{1},
@@ -188,27 +193,32 @@ func TestAsyncLoopValidation(t *testing.T) {
 	}
 	bad := base
 	bad.Fit = nil
-	if err := AsyncLoop(ex, bad); err == nil {
+	if err := drive(context.Background(), ex, bad); err == nil {
 		t.Fatal("nil Fit must fail")
 	}
 	bad = base
 	bad.Proposer = nil
-	if err := AsyncLoop(ex, bad); err == nil {
+	if err := drive(context.Background(), ex, bad); err == nil {
 		t.Fatal("nil Proposer must fail")
 	}
 	bad = base
 	bad.Rng = nil
-	if err := AsyncLoop(ex, bad); err == nil {
+	if err := drive(context.Background(), ex, bad); err == nil {
 		t.Fatal("nil Rng must fail")
 	}
 	bad = base
 	bad.Init = nil
-	if err := AsyncLoop(ex, bad); err == nil {
+	if err := drive(context.Background(), ex, bad); err == nil {
 		t.Fatal("empty init must fail")
 	}
 	bad = base
 	bad.MaxEvals = 0
-	if err := AsyncLoop(ex, bad); err == nil {
+	if err := drive(context.Background(), ex, bad); err == nil {
+		t.Fatal("an unbudgeted machine must fail")
+	}
+	bad = base
+	bad.Init = [][]float64{{0.2}, {0.4}, {0.6}, {0.8}, {0.9}, {0.1}}
+	if err := drive(context.Background(), ex, bad); err == nil {
 		t.Fatal("MaxEvals < len(init) must fail")
 	}
 }

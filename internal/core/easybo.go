@@ -6,12 +6,15 @@
 //     α(x,w) = (1−w)·µ(x) + w·σ̂(x) over the design box, where σ̂ optionally
 //     comes from a hallucinated surrogate that absorbs the busy points as
 //     pseudo-observations (Eq. 9, §III-C).
-//   - AsyncLoop is Algorithm 1: whenever a worker becomes idle, absorb the
-//     newly finished observation, refresh the surrogate, hallucinate the
-//     still-busy queries, and dispatch the maximizer of the acquisition.
+//   - AskTell is Algorithm 1 as a state machine, and Drive runs it on an
+//     executor: whenever a worker becomes idle, absorb the newly finished
+//     observation, refresh the surrogate, hallucinate the still-busy
+//     queries, and dispatch the maximizer of the acquisition.
 //
-// The synchronous EasyBO variants (EasyBO-S / EasyBO-SP evaluated in §IV)
-// reuse Proposer through ProposeBatch.
+// Synchronous batch BO is the same machine plus a barrier: with a batch
+// selector, Drive launches a batch only once nothing is pending. The
+// synchronous EasyBO variants (EasyBO-S / EasyBO-SP evaluated in §IV) reuse
+// Proposer through ProposeBatch as such a selector.
 package core
 
 import (

@@ -18,10 +18,10 @@ const (
 	ActionResubmit
 )
 
-// FailureHandler centralizes the failure-policy bookkeeping shared by every
-// evaluation driver (AsyncLoop, the synchronous bo drivers, the public
-// OptimizeParallel), so budget accounting and abort bounds cannot drift
-// between them.
+// FailureHandler is the failure-policy bookkeeping of AskTell — and so of
+// every run core.Drive executes and every served session — plus the DE
+// baseline, which evaluates through its own callback. Budget accounting and
+// abort bounds therefore cannot drift between drivers.
 type FailureHandler struct {
 	policy   FailurePolicy
 	max      int

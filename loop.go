@@ -19,9 +19,9 @@ import (
 // caller owns the workers.
 //
 // Loop is a thin adapter over the core ask/tell state machine (the same one
-// that drives Optimize, OptimizeParallel, and the easybod service sessions),
-// configured without an evaluation budget: it keeps suggesting for as long
-// as the caller keeps asking.
+// that core.Drive runs for Optimize and OptimizeParallel, and the easybod
+// service sessions bind to HTTP), configured without an evaluation budget:
+// it keeps suggesting for as long as the caller keeps asking.
 //
 // A Loop is not safe for concurrent use; serialize Suggest/Observe calls.
 type Loop struct {
@@ -35,8 +35,29 @@ func NewLoop(p Problem, opts Options) (*Loop, error) {
 	if err != nil {
 		return nil, err
 	}
+	at, err := newAskTell(ip, opts, core.AskTellConfig{
+		// Loop reports failures through Forget, never through Observe, so
+		// the machine's own failure policy is unreachable; skip is the
+		// benign default.
+		Failure: core.FailSkip,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Loop{ip: ip, at: at}, nil
+}
+
+// newAskTell builds the EasyBO machine behind Loop and OptimizeParallel on
+// top of base, which carries the budget and the failure handling: the
+// Latin-hypercube initial design (capped at a positive MaxEvals), the
+// surrogate manager, and the proposer, with random points while fewer than
+// two observations exist.
+func newAskTell(ip *objective.Problem, opts Options, base core.AskTellConfig) (*core.AskTell, error) {
 	if opts.InitPoints <= 0 {
 		opts.InitPoints = 20
+	}
+	if base.MaxEvals > 0 && opts.InitPoints > base.MaxEvals {
+		opts.InitPoints = base.MaxEvals
 	}
 	if opts.Lambda <= 0 {
 		opts.Lambda = 6
@@ -58,13 +79,12 @@ func NewLoop(p Problem, opts Options) (*Loop, error) {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	d := ip.Dim()
-	var init [][]float64
 	for _, u := range stats.LatinHypercube(rng, opts.InitPoints, d) {
 		x := make([]float64, d)
 		for j := range x {
 			x[j] = ip.Lo[j] + u[j]*(ip.Hi[j]-ip.Lo[j])
 		}
-		init = append(init, x)
+		base.Init = append(base.Init, x)
 	}
 	mm, err := core.NewModelManager(ip.Lo, ip.Hi, rng, core.ModelManagerOptions{
 		RefitEvery: opts.RefitEvery,
@@ -75,28 +95,18 @@ func NewLoop(p Problem, opts Options) (*Loop, error) {
 	if err != nil {
 		return nil, fmt.Errorf("easybo: %w", err)
 	}
-	at, err := core.NewAskTell(core.AskTellConfig{
-		Init: init,
-		Lo:   ip.Lo, Hi: ip.Hi,
-		Fit: mm.Fit,
-		Proposer: &core.Proposer{
-			Lambda:   opts.Lambda,
-			Penalize: opts.Algorithm != EasyBOA,
-		},
-		Rng: rng,
-		// Loop reports failures through Forget, never through Observe, so
-		// the machine's own failure policy is unreachable; skip is the
-		// benign default.
-		Failure: core.FailSkip,
-		// Not enough observations for a surrogate yet (caller suggested
-		// more than it observed): fall back to random points.
-		MinFitObs:      2,
-		RandomFallback: true,
-	})
-	if err != nil {
-		return nil, err
+	base.Lo, base.Hi = ip.Lo, ip.Hi
+	base.Fit = mm.Fit
+	base.Proposer = &core.Proposer{
+		Lambda:   opts.Lambda,
+		Penalize: opts.Algorithm != EasyBOA,
 	}
-	return &Loop{ip: ip, at: at}, nil
+	base.Rng = rng
+	// Not enough observations for a surrogate yet (the caller suggested
+	// more than it observed): fall back to random points.
+	base.MinFitObs = 2
+	base.RandomFallback = true
+	return core.NewAskTell(base)
 }
 
 // Suggest returns the next point to evaluate. Until the initial design is
