@@ -155,12 +155,13 @@ func (s *AskTell) issue(x []float64, init, resubmit bool, failedID int) Proposal
 }
 
 // Suggest returns the next point to evaluate. ok is false when no suggestion
-// is available right now: the budget of MaxEvals suggestions is exhausted
-// and no failed point awaits resubmission (the caller should keep Observing
-// until Done). The order of precedence is exactly Algorithm 1's: queued
-// resubmissions first, then the initial design, then the acquisition
-// maximizer on the refreshed surrogate with all pending points hallucinated
-// — or, with a SelectBatch, the next point of the synchronous batch.
+// is available right now: the budget of MaxEvals suggestions is exhausted,
+// or a synchronous batch is still out, and no failed point awaits
+// resubmission (the caller should keep Observing until Done). The order of
+// precedence is exactly Algorithm 1's: queued resubmissions first, then the
+// initial design, then the acquisition maximizer on the refreshed surrogate
+// with all pending points hallucinated — or, with a SelectBatch, the next
+// point of the synchronous batch.
 func (s *AskTell) Suggest() (p Proposal, ok bool, err error) {
 	if s.err != nil {
 		return Proposal{}, false, s.err
@@ -209,7 +210,7 @@ func (s *AskTell) nextInBatch() (Proposal, bool, error) {
 		if err != nil {
 			return Proposal{}, false, err
 		}
-		budget := int(^uint(0) >> 1)
+		budget := math.MaxInt
 		if s.cfg.MaxEvals > 0 {
 			budget = s.cfg.MaxEvals - s.launched
 		}
