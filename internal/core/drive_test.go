@@ -252,67 +252,49 @@ func containsPoint(set [][]float64, x []float64) bool {
 }
 
 func TestDriveBarrierLaunchesOnlyResubmitsWhileBatchIsOut(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	init, lo, hi, fit := asyncFixture(rng)
-	// Transient fault: each distinct point fails its first attempt when
-	// its first coordinate is small, and is resubmitted.
-	attempts := map[[2]float64]int{}
-	log := &launchLog{Executor: faultyVirtual(3, func(x []float64) bool {
-		k := [2]float64{x[0], x[1]}
-		attempts[k]++
-		return attempts[k] == 1 && x[0] < 0.4
-	})}
-	var ok int
-	err := drive(context.Background(), log, AskTellConfig{
-		MaxEvals: 20, Init: init[:6], Lo: lo, Hi: hi,
-		Fit: fit, SelectBatch: uniformBatches(rng), Rng: rng,
-		Failure:  FailResubmit,
-		OnResult: func(sched.Result) { ok++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok != 20 {
-		t.Fatalf("successes = %d, want 20", ok)
-	}
-	resubmits := 0
-	for i, f := range log.fills {
-		if f.barrier || len(f.points) == 0 {
-			continue
+	for _, policy := range []FailurePolicy{FailResubmit, FailSkip} {
+		rng := rand.New(rand.NewSource(6))
+		init, lo, hi, fit := asyncFixture(rng)
+		// Transient fault: each distinct point fails its first attempt
+		// when its first coordinate is small.
+		attempts := map[[2]float64]int{}
+		log := &launchLog{Executor: faultyVirtual(3, func(x []float64) bool {
+			k := [2]float64{x[0], x[1]}
+			attempts[k]++
+			return attempts[k] == 1 && x[0] < 0.4
+		})}
+		var ok, failed int
+		err := drive(context.Background(), log, AskTellConfig{
+			MaxEvals: 20, Init: init[:6], Lo: lo, Hi: hi,
+			Fit: fit, SelectBatch: uniformBatches(rng), Rng: rng,
+			Failure:   policy,
+			OnResult:  func(sched.Result) { ok++ },
+			OnFailure: func(sched.Result) { failed++ },
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
 		}
-		// A fill while a batch is out holds exactly the one resubmission
-		// of the failure its Wait returned.
-		if len(f.points) != 1 || !containsPoint(log.failed, f.points[0]) {
-			t.Fatalf("fill %d launched %v while a batch was out", i, f.points)
+		want := 20 // resubmissions consume no budget
+		if policy == FailSkip {
+			want -= failed // skipped failures do
 		}
-		resubmits++
-	}
-	if resubmits == 0 {
-		t.Fatal("no failure was resubmitted inside a barrier; the test exercises nothing")
-	}
-}
-
-func TestDriveBarrierSkipLaunchesNothing(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	init, lo, hi, fit := asyncFixture(rng)
-	log := &launchLog{Executor: faultyVirtual(3, func(x []float64) bool { return x[0] < 0.3 })}
-	var ok, failed int
-	err := drive(context.Background(), log, AskTellConfig{
-		MaxEvals: 20, Init: init[:6], Lo: lo, Hi: hi,
-		Fit: fit, SelectBatch: uniformBatches(rng), Rng: rng,
-		Failure:   FailSkip,
-		OnResult:  func(sched.Result) { ok++ },
-		OnFailure: func(sched.Result) { failed++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed == 0 || ok+failed != 20 {
-		t.Fatalf("ok %d + failed %d, want 20 with some failures", ok, failed)
-	}
-	for i, f := range log.fills {
-		if !f.barrier && len(f.points) > 0 {
-			t.Fatalf("fill %d launched %v while a batch was out", i, f.points)
+		if failed == 0 || ok != want {
+			t.Fatalf("%s: ok %d failed %d, want %d successes after some failures", policy, ok, failed, want)
+		}
+		resubmits := 0
+		for i, f := range log.fills {
+			if f.barrier || len(f.points) == 0 {
+				continue
+			}
+			// A fill while a batch is out holds exactly the one
+			// resubmission of the failure its Wait returned.
+			if len(f.points) != 1 || !containsPoint(log.failed, f.points[0]) {
+				t.Fatalf("%s: fill %d launched %v while a batch was out", policy, i, f.points)
+			}
+			resubmits++
+		}
+		if (resubmits > 0) != (policy == FailResubmit) {
+			t.Fatalf("%s: %d resubmissions inside a barrier", policy, resubmits)
 		}
 	}
 }
