@@ -11,6 +11,7 @@ import (
 	"easybo/internal/core"
 	"easybo/internal/objective"
 	"easybo/internal/sched"
+	"easybo/internal/surrogate"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*_golden.txt from the current drivers")
@@ -43,6 +44,10 @@ func goldenProblem(eval func(x []float64) float64) *objective.Problem {
 //     box, and resubmit transient first-attempt failures — with an initial
 //     design that is not a multiple of the batch size. Abort runs record
 //     their error instead of a history.
+//   - features_golden.txt: EasyBO/EasyBO-A on the feature-space backend,
+//     long enough to cross one hyperparameter refresh (HyperEvery = 64), so
+//     the rank-1 absorb, the refresh, and the feature predictor are pinned
+//     alongside the exact GP.
 //
 // Regenerate with `go test ./internal/bo -run TestHistoriesMatchGolden -update`
 // only for a deliberate behavior change.
@@ -53,6 +58,7 @@ func TestHistoriesMatchGolden(t *testing.T) {
 	}{
 		{"async_golden.txt", renderAsyncGolden},
 		{"driver_golden.txt", renderDriverGolden},
+		{"features_golden.txt", renderFeaturesGolden},
 	} {
 		t.Run(strings.TrimSuffix(g.file, ".txt"), func(t *testing.T) {
 			path := "testdata/" + g.file
@@ -89,12 +95,28 @@ func compareGolden(t *testing.T, got, want string) {
 }
 
 func renderAsyncGolden(t *testing.T) string {
+	return renderEasyBOGolden(t, Config{
+		BatchSize: 4, InitPoints: 8, MaxEvals: 30, Seed: 99,
+		FitIters: 15, RefitEvery: 5,
+	})
+}
+
+func renderFeaturesGolden(t *testing.T) string {
+	// The first fit happens at InitPoints observations; the refresh after
+	// it at InitPoints+64, so 80 evaluations cross exactly one.
+	return renderEasyBOGolden(t, Config{
+		BatchSize: 4, InitPoints: 8, MaxEvals: 80, Seed: 17,
+		FitIters: 15, Surrogate: surrogate.BackendFeatures,
+	})
+}
+
+// renderEasyBOGolden runs EasyBO and EasyBO-A under cfg on the golden
+// problem and renders both histories.
+func renderEasyBOGolden(t *testing.T, cfg Config) string {
 	var b strings.Builder
 	for _, algo := range []Algorithm{AlgoEasyBO, AlgoEasyBOA} {
-		h, err := Run(goldenProblem(goldenObjective), Config{
-			Algo: algo, BatchSize: 4, InitPoints: 8, MaxEvals: 30, Seed: 99,
-			FitIters: 15, RefitEvery: 5,
-		})
+		cfg.Algo = algo
+		h, err := Run(goldenProblem(goldenObjective), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
