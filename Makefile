@@ -108,12 +108,13 @@ load-smoke:
 		-out $(LOAD_OUT_DURABLE) \
 		-assert-max-errors 0 -assert-min-asks 1
 
-# Smoke-run the incremental-engine and surrogate-backend benchmarks so a
-# regression on the hot path (or a compile error in a bench file) fails CI
-# loudly.
+# Smoke-run the incremental-engine, surrogate-backend, acquisition-maximize
+# and block-solve benchmarks so a regression on the hot path (or a compile
+# error in a bench file) fails CI loudly.
 bench-smoke:
 	$(GO) test -run XXX -bench 'GPExtend|GPRefit|Hallucinate' -benchtime 1x .
-	$(GO) test -run XXX -bench 'SurrogateExtend|SurrogatePredict' -benchtime 1x ./internal/surrogate/
+	$(GO) test -run XXX -bench 'SurrogateExtend|SurrogatePredict|AcqMaximize' -benchtime 1x ./internal/surrogate/
+	$(GO) test -run XXX -bench 'SolveLowerBlock' -benchtime 1x ./internal/linalg/
 
 bench:
 	$(GO) test -run XXX -bench 'GPExtend|GPRefit|Hallucinate|SuggestHotPath' -benchtime 20x .

@@ -3,7 +3,9 @@
 // machine-readable JSON (ns/op, B/op, allocs/op, extra metrics like
 // ns/step and asks/sec, plus derived sparse-vs-dense and
 // exact-vs-feature-space speedups), so the repository's performance
-// trajectory is tracked in data rather than prose. `make bench-json`
+// trajectory is tracked in data rather than prose. Layer rows include one
+// acquisition maximization on a frozen surrogate (AcqMaximize*) and the
+// multi-column triangular solve under it (SolveLowerBlock). `make bench-json`
 // invokes it to produce BENCH_6.json.
 //
 // The serving-path load runs twice: once against the in-memory store and
@@ -35,7 +37,8 @@ var suite = []struct {
 }{
 	{"easybo/internal/circuit", "BenchmarkNewtonIteration(Sparse|Dense)"},
 	{"easybo/internal/testbench", "Benchmark(ClassEEval|TranStep|OpAmpEval|ACSweep)"},
-	{"easybo/internal/surrogate", "BenchmarkSurrogate(Fit|Extend|Predict|Suggest)"},
+	{"easybo/internal/surrogate", "BenchmarkSurrogate(Fit|Extend|Predict|Suggest)|BenchmarkAcqMaximize"},
+	{"easybo/internal/linalg", "BenchmarkSolveLowerBlock"},
 	{"easybo/internal/serve/wal", "BenchmarkLogAppend"},
 	{"easybo", "BenchmarkEndToEnd40EvalEasyBOA"},
 }

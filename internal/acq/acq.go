@@ -15,16 +15,44 @@ import (
 	"easybo/internal/stats"
 )
 
-// Surrogate is the posterior interface acquisitions consume.
+// Surrogate is the pointwise posterior view (the GP-Hedge reward reads
+// the posterior mean through it).
 type Surrogate interface {
 	// Predict returns the posterior mean and standard deviation at x.
 	Predict(x []float64) (mu, sigma float64)
 }
 
-// Func scores a candidate point; higher is better.
+// Func is an acquisition: a score of the posterior mean and deviation at a
+// candidate point; higher is better. Every acquisition here depends on the
+// point only through (µ, σ), so a block of points is scored by predicting
+// the block at once and scoring each pair (see Batch).
 type Func interface {
-	Value(s Surrogate, x []float64) float64
+	Score(mu, sigma float64) float64
 	Name() string
+}
+
+// BatchPredictor predicts a block of points at once (surrogate.Predictor
+// implements it).
+type BatchPredictor interface {
+	PredictBatch(xs [][]float64, mu, sigma []float64)
+}
+
+// Batch returns the block objective of f on p: it writes the acquisition
+// value at every xs[j] into vals[j]. The values equal
+// f.Score(p.Predict(xs[j])) bit for bit. The returned function owns scratch
+// and, like p, belongs to one goroutine.
+func Batch(f Func, p BatchPredictor) func(xs [][]float64, vals []float64) {
+	var sigma []float64
+	return func(xs [][]float64, vals []float64) {
+		if cap(sigma) < len(xs) {
+			sigma = make([]float64, len(xs))
+		}
+		sigma = sigma[:len(xs)]
+		p.PredictBatch(xs, vals, sigma) // the means land in vals
+		for j, mu := range vals[:len(xs)] {
+			vals[j] = f.Score(mu, sigma[j])
+		}
+	}
 }
 
 // UCB is the upper confidence bound µ + κσ (paper Eq. 3).
@@ -33,9 +61,8 @@ type UCB struct{ Kappa float64 }
 // Name implements Func.
 func (UCB) Name() string { return "UCB" }
 
-// Value implements Func.
-func (u UCB) Value(s Surrogate, x []float64) float64 {
-	mu, sigma := s.Predict(x)
+// Score implements Func.
+func (u UCB) Score(mu, sigma float64) float64 {
 	return mu + u.Kappa*sigma
 }
 
@@ -47,9 +74,9 @@ type LCB struct{ Kappa float64 }
 // Name implements Func.
 func (LCB) Name() string { return "LCB" }
 
-// Value implements Func.
-func (l LCB) Value(s Surrogate, x []float64) float64 {
-	return UCB{Kappa: l.Kappa}.Value(s, x)
+// Score implements Func.
+func (l LCB) Score(mu, sigma float64) float64 {
+	return UCB{Kappa: l.Kappa}.Score(mu, sigma)
 }
 
 // EI is the expected improvement over Best by at least Xi.
@@ -61,9 +88,8 @@ type EI struct {
 // Name implements Func.
 func (EI) Name() string { return "EI" }
 
-// Value implements Func.
-func (e EI) Value(s Surrogate, x []float64) float64 {
-	mu, sigma := s.Predict(x)
+// Score implements Func.
+func (e EI) Score(mu, sigma float64) float64 {
 	if sigma <= 1e-12 {
 		if d := mu - e.Best - e.Xi; d > 0 {
 			return d
@@ -89,9 +115,8 @@ type PI struct {
 // Name implements Func.
 func (PI) Name() string { return "PI" }
 
-// Value implements Func.
-func (p PI) Value(s Surrogate, x []float64) float64 {
-	mu, sigma := s.Predict(x)
+// Score implements Func.
+func (p PI) Score(mu, sigma float64) float64 {
 	if sigma <= 1e-12 {
 		if mu-p.Best-p.Xi > 0 {
 			return 1
@@ -105,16 +130,15 @@ func (p PI) Value(s Surrogate, x []float64) float64 {
 //
 //	α(x, w) = (1−w)·µ(x) + w·σ(x)
 //
-// With the EasyBO penalization the Surrogate passed in is the hallucinated
-// model, making σ the deflated σ̂ of Eq. (9).
+// With the EasyBO penalization the posterior it scores is the hallucinated
+// model's, making σ the deflated σ̂ of Eq. (9).
 type Weighted struct{ W float64 }
 
 // Name implements Func.
 func (Weighted) Name() string { return "Weighted" }
 
-// Value implements Func.
-func (a Weighted) Value(s Surrogate, x []float64) float64 {
-	mu, sigma := s.Predict(x)
+// Score implements Func.
+func (a Weighted) Score(mu, sigma float64) float64 {
 	return (1-a.W)*mu + a.W*sigma
 }
 

@@ -7,11 +7,6 @@ import (
 	"testing/quick"
 )
 
-// stubSurrogate returns fixed mean/deviation fields for testing.
-type stubSurrogate struct{ mu, sigma float64 }
-
-func (s stubSurrogate) Predict([]float64) (float64, float64) { return s.mu, s.sigma }
-
 // fieldSurrogate computes µ and σ from simple position-dependent formulas.
 type fieldSurrogate struct {
 	mu    func(x []float64) float64
@@ -21,19 +16,19 @@ type fieldSurrogate struct {
 func (s fieldSurrogate) Predict(x []float64) (float64, float64) { return s.mu(x), s.sigma(x) }
 
 func TestUCBMonotoneInKappa(t *testing.T) {
-	s := stubSurrogate{mu: 1, sigma: 0.5}
+	mu, sigma := 1.0, 0.5
 	prev := math.Inf(-1)
 	for _, k := range []float64{0, 0.5, 1, 2, 4} {
-		v := UCB{Kappa: k}.Value(s, nil)
+		v := UCB{Kappa: k}.Score(mu, sigma)
 		if v <= prev {
 			t.Fatalf("UCB not increasing in kappa at %v", k)
 		}
 		prev = v
 	}
-	if got := (UCB{Kappa: 2}).Value(s, nil); got != 2 {
+	if got := (UCB{Kappa: 2}).Score(mu, sigma); got != 2 {
 		t.Fatalf("UCB = %v, want 2", got)
 	}
-	if (LCB{Kappa: 2}).Value(s, nil) != (UCB{Kappa: 2}).Value(s, nil) {
+	if (LCB{Kappa: 2}).Score(mu, sigma) != (UCB{Kappa: 2}).Score(mu, sigma) {
 		t.Fatal("LCB must alias UCB for maximization")
 	}
 }
@@ -42,53 +37,53 @@ func TestEIProperties(t *testing.T) {
 	// EI >= 0 always; 0 when sigma = 0 and mu <= best; positive when mu > best.
 	f := func(mu, sigma, best float64) bool {
 		sigma = math.Abs(sigma)
-		v := EI{Best: best}.Value(stubSurrogate{mu, sigma}, nil)
+		v := EI{Best: best}.Score(mu, sigma)
 		return v >= 0 && !math.IsNaN(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if v := (EI{Best: 2}).Value(stubSurrogate{1, 0}, nil); v != 0 {
+	if v := (EI{Best: 2}).Score(1, 0); v != 0 {
 		t.Fatalf("EI = %v, want 0", v)
 	}
-	if v := (EI{Best: 1}).Value(stubSurrogate{3, 0}, nil); math.Abs(v-2) > 1e-12 {
+	if v := (EI{Best: 1}).Score(3, 0); math.Abs(v-2) > 1e-12 {
 		t.Fatalf("EI = %v, want 2", v)
 	}
 	// More uncertainty at equal mean => more EI.
-	lowS := EI{Best: 0}.Value(stubSurrogate{0, 0.1}, nil)
-	highS := EI{Best: 0}.Value(stubSurrogate{0, 1.0}, nil)
+	lowS := EI{Best: 0}.Score(0, 0.1)
+	highS := EI{Best: 0}.Score(0, 1.0)
 	if highS <= lowS {
 		t.Fatal("EI must grow with sigma at the incumbent mean")
 	}
 }
 
 func TestPIProperties(t *testing.T) {
-	if v := (PI{Best: 0}).Value(stubSurrogate{0, 1}, nil); math.Abs(v-0.5) > 1e-12 {
+	if v := (PI{Best: 0}).Score(0, 1); math.Abs(v-0.5) > 1e-12 {
 		t.Fatalf("PI at the incumbent mean = %v, want 0.5", v)
 	}
-	if v := (PI{Best: 0}).Value(stubSurrogate{10, 1}, nil); v < 0.999 {
+	if v := (PI{Best: 0}).Score(10, 1); v < 0.999 {
 		t.Fatalf("PI far above best = %v", v)
 	}
-	if v := (PI{Best: 0}).Value(stubSurrogate{-10, 1}, nil); v > 1e-3 {
+	if v := (PI{Best: 0}).Score(-10, 1); v > 1e-3 {
 		t.Fatalf("PI far below best = %v", v)
 	}
-	if v := (PI{Best: 0}).Value(stubSurrogate{1, 0}, nil); v != 1 {
+	if v := (PI{Best: 0}).Score(1, 0); v != 1 {
 		t.Fatalf("deterministic improvement PI = %v, want 1", v)
 	}
-	if v := (PI{Best: 2}).Value(stubSurrogate{1, 0}, nil); v != 0 {
+	if v := (PI{Best: 2}).Score(1, 0); v != 0 {
 		t.Fatalf("deterministic non-improvement PI = %v, want 0", v)
 	}
 }
 
 func TestWeightedTradeoff(t *testing.T) {
-	s := stubSurrogate{mu: 2, sigma: 1}
-	if v := (Weighted{W: 0}).Value(s, nil); v != 2 {
+	mu, sigma := 2.0, 1.0
+	if v := (Weighted{W: 0}).Score(mu, sigma); v != 2 {
 		t.Fatalf("w=0 must be pure exploitation, got %v", v)
 	}
-	if v := (Weighted{W: 1}).Value(s, nil); v != 1 {
+	if v := (Weighted{W: 1}).Score(mu, sigma); v != 1 {
 		t.Fatalf("w=1 must be pure exploration, got %v", v)
 	}
-	if v := (Weighted{W: 0.25}).Value(s, nil); math.Abs(v-1.75) > 1e-12 {
+	if v := (Weighted{W: 0.25}).Score(mu, sigma); math.Abs(v-1.75) > 1e-12 {
 		t.Fatalf("w=0.25 = %v", v)
 	}
 }
@@ -196,7 +191,7 @@ func TestAcquisitionsOnFieldSurrogate(t *testing.T) {
 		bestX, bestV := 0.0, math.Inf(-1)
 		for i := 0; i <= 1000; i++ {
 			x := []float64{float64(i) / 1000}
-			if v := f.Value(s, x); v > bestV {
+			if v := f.Score(s.Predict(x)); v > bestV {
 				bestV, bestX = v, x[0]
 			}
 		}

@@ -17,12 +17,11 @@ type batchSelector interface {
 }
 
 // maximizeAcq maximizes an acquisition over the box on the model's
-// standardized view, fanning the multistart out across goroutines — each
-// worker owns an allocation-free predictor over the shared posterior.
+// standardized view, scoring blocks of points — each goroutine of the
+// multistart owns an allocation-free predictor over the shared posterior.
 func maximizeAcq(a acq.Func, m surrogate.Surrogate, lo, hi []float64, rng *rand.Rand, opts optimize.MaximizeOptions) []float64 {
-	x, _ := optimize.MaximizeParallel(func() optimize.Objective {
-		s := m.StandardizedPredictor()
-		return func(q []float64) float64 { return a.Value(s, q) }
+	x, _ := optimize.MaximizeParallel(func() optimize.BatchObjective {
+		return acq.Batch(a, m.StandardizedPredictor())
 	}, lo, hi, rng, opts)
 	return x
 }
@@ -108,11 +107,14 @@ func (s *phcboSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float
 	for i, w := range ws {
 		base := acq.Weighted{W: w}
 		pen := acq.HCPenalty{NHC: s.nhc, D: s.radius, Recent: s.recent[i]}
-		x, _ := optimize.MaximizeParallel(func() optimize.Objective {
-			std := m.StandardizedPredictor()
+		x, _ := optimize.MaximizeParallel(func() optimize.BatchObjective {
+			score := acq.Batch(base, m.StandardizedPredictor())
 			nbuf := make([]float64, len(lo))
-			return func(q []float64) float64 {
-				return base.Value(std, q) - pen.Value(normalizeInto(nbuf, q, lo, hi))
+			return func(qs [][]float64, vals []float64) {
+				score(qs, vals)
+				for j, q := range qs {
+					vals[j] -= pen.Value(normalizeInto(nbuf, q, lo, hi))
+				}
 			}
 		}, lo, hi, rng, s.opts)
 		out = append(out, x)
@@ -161,7 +163,7 @@ func (s tsSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float64, 
 		}
 		// The RFF draw is a pure function of fixed weights, so all workers
 		// may share it.
-		x, _ := optimize.MaximizeParallel(func() optimize.Objective { return sample },
+		x, _ := optimize.MaximizeParallel(func() optimize.BatchObjective { return optimize.Pointwise(sample) },
 			lo, hi, rng, s.opts)
 		out = append(out, x)
 	}

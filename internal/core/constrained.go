@@ -106,7 +106,7 @@ func (p *ConstrainedProposer) ProposeConstrained(
 		for j := range x {
 			x[j] = lo[j] + u[j]*(hi[j]-lo[j])
 		}
-		a := base.Value(std, x)
+		a := base.Score(std.Predict(x))
 		if i == 0 || a < alphaMin {
 			alphaMin = a
 		}
@@ -124,7 +124,7 @@ func (p *ConstrainedProposer) ProposeConstrained(
 
 	// Local refinement of the best candidates on the continuous score.
 	f := func(x []float64) float64 {
-		return score(base.Value(std, x), pof(x))
+		return score(base.Score(std.Predict(x)), pof(x))
 	}
 	bestX := cands[0].x
 	bestV := f(bestX)

@@ -44,8 +44,9 @@ type Proposer struct {
 // It also reports the sampled weight for diagnostics. The hallucinated
 // variant extends the surrogate incrementally (rank-append on the exact GP,
 // rank-1 information updates on the feature backend), and the acquisition
-// maximization fans its multistart out across goroutines, each with its own
-// allocation-free predictor.
+// maximizer scores blocks of points through allocation-free predictors: the
+// candidate sweep fans out across goroutines, the simplex refinements run
+// in lockstep.
 func (p *Proposer) Propose(m surrogate.Surrogate, busy [][]float64, lo, hi []float64, rng *rand.Rand) (x []float64, w float64, err error) {
 	if m == nil {
 		return nil, 0, errors.New("core: nil surrogate")
@@ -65,9 +66,8 @@ func (p *Proposer) Propose(m surrogate.Surrogate, busy [][]float64, lo, hi []flo
 func (p *Proposer) proposeOn(view surrogate.Surrogate, lo, hi []float64, rng *rand.Rand) (x []float64, w float64, err error) {
 	w = acq.SampleWeight(rng, p.Lambda)
 	a := acq.Weighted{W: w}
-	x, _ = optimize.MaximizeParallel(func() optimize.Objective {
-		s := view.StandardizedPredictor()
-		return func(q []float64) float64 { return a.Value(s, q) }
+	x, _ = optimize.MaximizeParallel(func() optimize.BatchObjective {
+		return acq.Batch(a, view.StandardizedPredictor())
 	}, lo, hi, rng, p.MaxOpts)
 	return x, w, nil
 }

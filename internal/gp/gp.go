@@ -130,20 +130,30 @@ func (g *GP) Dim() int { return len(g.X[0]) }
 // PredictBuf holds reusable scratch for allocation-free predictions. A buf
 // belongs to one goroutine at a time; create one per worker.
 type PredictBuf struct {
-	ks []float64
+	ks [][]float64 // one kernel vector per point of a batch
 }
 
 // NewPredictBuf returns scratch sized for the GP's current training set; it
-// grows automatically if the GP is extended.
+// grows automatically with the batch size and if the GP is extended.
 func (g *GP) NewPredictBuf() *PredictBuf {
-	return &PredictBuf{ks: make([]float64, 0, g.N()+16)}
+	b := &PredictBuf{}
+	b.sized(1, g.N())
+	return b
 }
 
-func (b *PredictBuf) sized(n int) []float64 {
-	if cap(b.ks) < n {
-		b.ks = make([]float64, n, n+n/2+8)
+// sized returns k kernel vectors of length n, reusing their storage.
+func (b *PredictBuf) sized(k, n int) [][]float64 {
+	for len(b.ks) < k {
+		b.ks = append(b.ks, nil)
 	}
-	return b.ks[:n]
+	ks := b.ks[:k]
+	for j := range ks {
+		if cap(ks[j]) < n {
+			ks[j] = make([]float64, n, n+n/2+8)
+		}
+		ks[j] = ks[j][:n]
+	}
+	return ks
 }
 
 // Predict returns the posterior mean and standard deviation at x
@@ -155,21 +165,37 @@ func (g *GP) Predict(x []float64) (mu, sigma float64) {
 }
 
 // PredictWith is Predict reusing caller-provided scratch: zero allocations
-// once the buf has grown to the training-set size.
+// once the buf has grown to the training-set size. It is the one-point case
+// of PredictBatchWith.
 func (g *GP) PredictWith(buf *PredictBuf, x []float64) (mu, sigma float64) {
+	var m, s [1]float64
+	g.PredictBatchWith(buf, [][]float64{x}, m[:], s[:])
+	return m[0], s[0]
+}
+
+// PredictBatchWith writes the posterior mean and deviation at every xs[j]
+// into mu[j] and sigma[j]. The variances need V = L⁻¹·K* for the block of
+// kernel vectors, which one multi-column triangular solve produces; each
+// result is bit for bit what a one-point prediction at xs[j] returns.
+func (g *GP) PredictBatchWith(buf *PredictBuf, xs [][]float64, mu, sigma []float64) {
 	n := g.N()
-	ks := buf.sized(n)
-	for i := 0; i < n; i++ {
-		ks[i] = g.kernEval(x, g.X[i])
+	ks := buf.sized(len(xs), n)
+	for j, x := range xs {
+		kj := ks[j]
+		for i := 0; i < n; i++ {
+			kj[i] = g.kernEval(x, g.X[i])
+		}
+		mu[j] = linalg.Dot(kj, g.alpha)
 	}
-	mu = linalg.Dot(ks, g.alpha)
-	g.chol.SolveLowerInto(ks, ks) // v = L⁻¹·ks, in place
-	kss := g.kernEval(x, x)
-	s2 := kss - linalg.Dot(ks, ks)
-	if s2 < 0 {
-		s2 = 0
+	g.chol.SolveLowerBlockInto(ks, ks) // v = L⁻¹·k*, in place
+	for j, x := range xs {
+		kss := g.kernEval(x, x)
+		s2 := kss - linalg.Dot(ks[j], ks[j])
+		if s2 < 0 {
+			s2 = 0
+		}
+		sigma[j] = math.Sqrt(s2)
 	}
-	return mu, math.Sqrt(s2)
 }
 
 // PredictMean returns only the posterior mean (cheaper: skips the

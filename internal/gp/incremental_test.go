@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"easybo/internal/linalg"
 )
 
 // checkPosteriorEqual asserts that two GPs over the same data agree on mean,
@@ -261,6 +263,66 @@ func TestPredictWithMatchesPredict(t *testing.T) {
 		mu4, s4 := ps.Predict(xq)
 		if mu3 != mu4 || s3 != s4 {
 			t.Fatalf("StandardizedPredictor differs: (%v,%v) vs (%v,%v)", mu3, s3, mu4, s4)
+		}
+	}
+}
+
+// scalarPredict is the one-point posterior with its own forward solve — the
+// arithmetic every prediction used before predictions were batched.
+func (g *GP) scalarPredict(x []float64) (mu, sigma float64) {
+	n := g.N()
+	ks := make([]float64, n)
+	for i := 0; i < n; i++ {
+		ks[i] = g.kernEval(x, g.X[i])
+	}
+	mu = linalg.Dot(ks, g.alpha)
+	g.chol.SolveLowerInto(ks, ks)
+	s2 := g.kernEval(x, x) - linalg.Dot(ks, ks)
+	if s2 < 0 {
+		s2 = 0
+	}
+	return mu, math.Sqrt(s2)
+}
+
+// TestPredictBatchWithMatchesScalarSolve pins batched exact-GP prediction
+// to the one-point arithmetic bit for bit, for every batch width from 1 to
+// 9 (the 4-column solve and each tail), on both kernels and on a
+// hallucinated extension, with the scratch reused across widths.
+func TestPredictBatchWithMatchesScalarSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(501))
+	for _, kern := range []Kernel{SEARD{}, Matern52{}} {
+		d := 3
+		x, y := trainData(rng, 30, d, func(v []float64) float64 { return math.Sin(3*v[0]) + v[1]*v[2] })
+		g, err := Fit(kern, x, y, kern.DefaultTheta(d), math.Log(1e-2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hal, err := g.WithPseudo(x[:2], []float64{0.1, -0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []*GP{g, hal} {
+			buf := m.NewPredictBuf()
+			for w := 1; w <= 9; w++ {
+				xs := make([][]float64, w)
+				for j := range xs {
+					xs[j] = make([]float64, d)
+					for i := range xs[j] {
+						xs[j][i] = rng.Float64()
+					}
+				}
+				xs[0] = m.X[0] // a training point: σ clamps near zero
+				mu := make([]float64, w)
+				sigma := make([]float64, w)
+				m.PredictBatchWith(buf, xs, mu, sigma)
+				for j, xq := range xs {
+					wm, ws := m.scalarPredict(xq)
+					if math.Float64bits(mu[j]) != math.Float64bits(wm) || math.Float64bits(sigma[j]) != math.Float64bits(ws) {
+						t.Fatalf("%s n=%d w=%d point %d: batch (%v,%v), scalar (%v,%v)",
+							kern.Name(), m.N(), w, j, mu[j], sigma[j], wm, ws)
+					}
+				}
+			}
 		}
 	}
 }

@@ -93,15 +93,7 @@ func Train(x [][]float64, y []float64, lo, hi []float64, rng *rand.Rand, opts *T
 
 // scale maps a raw point into the unit cube.
 func (m *Model) scale(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i := range x {
-		span := m.Hi[i] - m.Lo[i]
-		if span <= 0 {
-			span = 1
-		}
-		out[i] = (x[i] - m.Lo[i]) / span
-	}
-	return out
+	return m.scaleInto(make([]float64, len(x)), x)
 }
 
 // Predict returns the posterior mean and standard deviation at the raw
@@ -188,46 +180,65 @@ type Predictor struct {
 	m            *Model
 	standardized bool
 	buf          PredictBuf
-	xs           []float64
+	xs           [][]float64 // scaled inputs, one per point of a batch
 }
 
 // Predictor returns a raw-unit prediction context.
-func (m *Model) Predictor() *Predictor {
-	return &Predictor{m: m, xs: make([]float64, len(m.Lo))}
-}
+func (m *Model) Predictor() *Predictor { return m.newPredictor(false) }
 
 // StandardizedPredictor returns a prediction context in standardized output
 // units (the view acquisition functions must consume).
-func (m *Model) StandardizedPredictor() *Predictor {
-	return &Predictor{m: m, standardized: true, xs: make([]float64, len(m.Lo))}
+func (m *Model) StandardizedPredictor() *Predictor { return m.newPredictor(true) }
+
+func (m *Model) newPredictor(standardized bool) *Predictor {
+	return &Predictor{m: m, standardized: standardized, xs: [][]float64{make([]float64, len(m.Lo))}}
 }
 
-// scaleInto maps a raw point into the unit cube using the predictor's buffer.
-func (p *Predictor) scaleInto(x []float64) []float64 {
-	m := p.m
+// scaleInto maps a raw point into the unit cube, writing into dst.
+func (m *Model) scaleInto(dst, x []float64) []float64 {
 	for i := range x {
 		span := m.Hi[i] - m.Lo[i]
 		if span <= 0 {
 			span = 1
 		}
-		p.xs[i] = (x[i] - m.Lo[i]) / span
+		dst[i] = (x[i] - m.Lo[i]) / span
 	}
-	return p.xs
+	return dst
 }
 
 // Predict returns the posterior mean and deviation at the raw point x,
-// in raw or standardized output units per the predictor's view.
+// in raw or standardized output units per the predictor's view. It is the
+// one-point case of PredictBatch.
 func (p *Predictor) Predict(x []float64) (mu, sigma float64) {
-	mu, sigma = p.m.gp.PredictWith(&p.buf, p.scaleInto(x))
-	if p.standardized {
-		return mu, sigma
+	var m, s [1]float64
+	p.PredictBatch([][]float64{x}, m[:], s[:])
+	return m[0], s[0]
+}
+
+// PredictBatch writes the posterior mean and deviation at every raw point
+// xs[j] into mu[j] and sigma[j], bit for bit what Predict(xs[j]) returns.
+func (p *Predictor) PredictBatch(xs [][]float64, mu, sigma []float64) {
+	m := p.m
+	for len(p.xs) < len(xs) {
+		p.xs = append(p.xs, make([]float64, len(m.Lo)))
 	}
-	return mu*p.m.ystd + p.m.ymean, sigma * p.m.ystd
+	sx := p.xs[:len(xs)]
+	for j, x := range xs {
+		m.scaleInto(sx[j], x)
+	}
+	m.gp.PredictBatchWith(&p.buf, sx, mu, sigma)
+	if p.standardized {
+		return
+	}
+	for j := range xs {
+		mu[j] = mu[j]*m.ystd + m.ymean
+		sigma[j] *= m.ystd
+	}
 }
 
 // PredictMean returns only the posterior mean at the raw point x.
 func (p *Predictor) PredictMean(x []float64) float64 {
-	mu := p.m.gp.PredictMean(p.scaleInto(x))
+	mu := p.m.gp.PredictMean(p.m.scaleInto(p.xs[0], x))
 	if p.standardized {
 		return mu
 	}

@@ -206,6 +206,99 @@ func (c *Cholesky) SolveLowerInto(dst, b []float64) {
 	}
 }
 
+// SolveLowerBlockInto solves L·Y = B for a block of right-hand sides at
+// once: dst[j] = L⁻¹·b[j] for every column j, without allocating. dst[j]
+// may alias b[j] (but no other column). Forward substitution is one serial
+// chain of multiply-subtracts per row, so a single column is latency-bound;
+// sweeping the factor for four columns at a time (then a 3-, 2- or 1-column
+// tail) overlaps their chains and reads each row of L once per group. Every
+// column keeps SolveLowerInto's exact operation order, so dst[j] is bit for
+// bit what SolveLowerInto(dst[j], b[j]) produces.
+func (c *Cholesky) SolveLowerBlockInto(dst, b [][]float64) {
+	if len(dst) != len(b) {
+		panic("linalg: Cholesky.SolveLowerBlockInto column count mismatch")
+	}
+	for j := range b {
+		if len(b[j]) != c.N || len(dst[j]) != c.N {
+			panic("linalg: Cholesky.SolveLowerBlockInto dimension mismatch")
+		}
+		// The kernels solve in place: entry i of a column is read just
+		// before it is overwritten, exactly as in SolveLowerInto.
+		copy(dst[j], b[j])
+	}
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		c.solveLower4(dst[j], dst[j+1], dst[j+2], dst[j+3])
+	}
+	switch len(dst) - j {
+	case 3:
+		c.solveLower3(dst[j], dst[j+1], dst[j+2])
+	case 2:
+		c.solveLower2(dst[j], dst[j+1])
+	case 1:
+		c.SolveLowerInto(dst[j], dst[j])
+	}
+}
+
+// solveLower4 is SolveLowerInto on four columns, in place, in one sweep of
+// L. Only the columns are live across the inner loop, which keeps its
+// index in a register.
+func (c *Cholesky) solveLower4(d0, d1, d2, d3 []float64) {
+	n := c.N
+	d0, d1, d2, d3 = d0[:n], d1[:n], d2[:n], d3[:n]
+	for i := 0; i < n; i++ {
+		row := c.L.Row(i)
+		r := row[:i]
+		s0, s1, s2, s3 := d0[i], d1[i], d2[i], d3[i]
+		x0, x1, x2, x3 := d0[:len(r)], d1[:len(r)], d2[:len(r)], d3[:len(r)]
+		for k, l := range r {
+			s0 -= l * x0[k]
+			s1 -= l * x1[k]
+			s2 -= l * x2[k]
+			s3 -= l * x3[k]
+		}
+		p := row[i]
+		d0[i], d1[i], d2[i], d3[i] = s0/p, s1/p, s2/p, s3/p
+	}
+}
+
+// solveLower3 is solveLower4 on three columns.
+func (c *Cholesky) solveLower3(d0, d1, d2 []float64) {
+	n := c.N
+	d0, d1, d2 = d0[:n], d1[:n], d2[:n]
+	for i := 0; i < n; i++ {
+		row := c.L.Row(i)
+		r := row[:i]
+		s0, s1, s2 := d0[i], d1[i], d2[i]
+		x0, x1, x2 := d0[:len(r)], d1[:len(r)], d2[:len(r)]
+		for k, l := range r {
+			s0 -= l * x0[k]
+			s1 -= l * x1[k]
+			s2 -= l * x2[k]
+		}
+		p := row[i]
+		d0[i], d1[i], d2[i] = s0/p, s1/p, s2/p
+	}
+}
+
+// solveLower2 is solveLower4 on two columns.
+func (c *Cholesky) solveLower2(d0, d1 []float64) {
+	n := c.N
+	d0, d1 = d0[:n], d1[:n]
+	for i := 0; i < n; i++ {
+		row := c.L.Row(i)
+		r := row[:i]
+		s0, s1 := d0[i], d1[i]
+		x0, x1 := d0[:len(r)], d1[:len(r)]
+		for k, l := range r {
+			s0 -= l * x0[k]
+			s1 -= l * x1[k]
+		}
+		p := row[i]
+		d0[i], d1[i] = s0/p, s1/p
+	}
+}
+
 // SolveUpperT returns x solving Lᵀ·x = y (back substitution). Because
 // A⁻¹ = L⁻ᵀL⁻¹, this is also the map z ↦ L⁻ᵀz used to draw samples with
 // covariance A⁻¹.

@@ -399,3 +399,64 @@ func TestCholeskyCloneIsIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveLowerBlockIntoBitwise pins the multi-column forward solve to
+// SolveLowerInto bit for bit: every block width from 1 to 9 (so the
+// 4-column kernel and each tail run), sizes from empty to the feature
+// backend's default m=256, separate and aliased destinations, and a factor
+// that needed diagonal jitter.
+func TestSolveLowerBlockIntoBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{0, 1, 7, 256} {
+		for _, jittered := range []bool{false, true} {
+			if jittered && n < 2 {
+				continue
+			}
+			a := randomSPD(rng, n)
+			if jittered {
+				// A Gram matrix of rank n/2 is singular: the bare
+				// factorization fails and the jitter ladder has to step in.
+				g := randomMatrix(rng, n/2, n)
+				a = g.T().Mul(g)
+			}
+			ch, err := NewCholesky(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if jittered && ch.Jitter == 0 {
+				t.Fatalf("n=%d: expected a jittered factor", n)
+			}
+			for w := 1; w <= 9; w++ {
+				b := make([][]float64, w)
+				want := make([][]float64, w)
+				dst := make([][]float64, w)
+				alias := make([][]float64, w)
+				for j := range b {
+					b[j] = make([]float64, n)
+					for i := range b[j] {
+						b[j][i] = rng.NormFloat64()
+					}
+					want[j] = make([]float64, n)
+					ch.SolveLowerInto(want[j], b[j])
+					dst[j] = make([]float64, n)
+					alias[j] = append([]float64(nil), b[j]...)
+				}
+				ch.SolveLowerBlockInto(dst, b)
+				ch.SolveLowerBlockInto(alias, alias)
+				for j := range want {
+					for i := range want[j] {
+						wb := math.Float64bits(want[j][i])
+						if math.Float64bits(dst[j][i]) != wb {
+							t.Fatalf("n=%d jitter=%v w=%d: column %d row %d: %v, scalar solve %v",
+								n, jittered, w, j, i, dst[j][i], want[j][i])
+						}
+						if math.Float64bits(alias[j][i]) != wb {
+							t.Fatalf("n=%d jitter=%v w=%d: aliased column %d row %d: %v, scalar solve %v",
+								n, jittered, w, j, i, alias[j][i], want[j][i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

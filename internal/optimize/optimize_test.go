@@ -3,6 +3,7 @@ package optimize
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -180,9 +181,9 @@ func TestMaximizeParallelDeterministicAcrossWorkers(t *testing.T) {
 	hi := []float64{2, 2, 2}
 	var refX []float64
 	refV := 0.0
-	for _, workers := range []int{1, 2, 3, 7, 16} {
+	for _, workers := range []int{1, 2, 3, 7, 8, 16} {
 		rng := rand.New(rand.NewSource(42))
-		x, v := MaximizeParallel(func() Objective { return f }, lo, hi, rng,
+		x, v := MaximizeParallel(func() BatchObjective { return Pointwise(f) }, lo, hi, rng,
 			MaximizeOptions{Candidates: 120, Refine: 4, Workers: workers})
 		if refX == nil {
 			refX, refV = x, v
@@ -211,9 +212,184 @@ func TestMaximizeMatchesParallelSerial(t *testing.T) {
 	r1 := rand.New(rand.NewSource(7))
 	r2 := rand.New(rand.NewSource(7))
 	x1, v1 := Maximize(f, lo, hi, r1, MaximizeOptions{Candidates: 80, Workers: 1})
-	x2, v2 := MaximizeParallel(func() Objective { return f }, lo, hi, r2,
+	x2, v2 := MaximizeParallel(func() BatchObjective { return Pointwise(f) }, lo, hi, r2,
 		MaximizeOptions{Candidates: 80, Workers: 4})
 	if v1 != v2 || x1[0] != x2[0] || x1[1] != x2[1] {
 		t.Fatalf("serial (%v,%v) vs parallel (%v,%v)", x1, v1, x2, v2)
+	}
+}
+
+// nmStats counts what a reference search did.
+type nmStats struct {
+	evals, shrinks, cutShrinks int
+}
+
+// nelderMeadReference is the sequential Nelder–Mead loop the step machine
+// replaced, kept verbatim (plus counters) as the oracle for its bits.
+func nelderMeadReference(f Objective, x0, lo, hi []float64, opts NelderMeadOptions) ([]float64, float64, nmStats) {
+	d := len(x0)
+	if opts.MaxEvals <= 0 {
+		opts.MaxEvals = 80 * d
+	}
+	if opts.InitStep <= 0 {
+		opts.InitStep = 0.1
+	}
+	if opts.Tol <= 0 {
+		opts.Tol = 1e-9
+	}
+	var st nmStats
+	eval := func(x []float64) float64 {
+		st.evals++
+		return f(x)
+	}
+	type vtx struct {
+		x []float64
+		v float64
+	}
+	simplex := make([]vtx, d+1)
+	base := append([]float64(nil), x0...)
+	clampTo(base, lo, hi)
+	simplex[0] = vtx{base, eval(base)}
+	for i := 0; i < d; i++ {
+		x := append([]float64(nil), base...)
+		step := opts.InitStep * (hi[i] - lo[i])
+		if x[i]+step > hi[i] {
+			step = -step
+		}
+		x[i] += step
+		clampTo(x, lo, hi)
+		simplex[i+1] = vtx{x, eval(x)}
+	}
+	sortSimplex := func() {
+		sort.Slice(simplex, func(a, b int) bool { return simplex[a].v > simplex[b].v })
+	}
+	sortSimplex()
+	centroid := make([]float64, d)
+	for st.evals < opts.MaxEvals {
+		if math.Abs(simplex[0].v-simplex[d].v) < opts.Tol*(1+math.Abs(simplex[0].v)) {
+			break
+		}
+		for j := range centroid {
+			centroid[j] = 0
+		}
+		for i := 0; i < d; i++ {
+			for j := range centroid {
+				centroid[j] += simplex[i].x[j]
+			}
+		}
+		for j := range centroid {
+			centroid[j] /= float64(d)
+		}
+		worst := simplex[d]
+		moved := func(coef float64) vtx {
+			x := make([]float64, d)
+			for j := range x {
+				x[j] = centroid[j] + coef*(centroid[j]-worst.x[j])
+			}
+			clampTo(x, lo, hi)
+			return vtx{x, eval(x)}
+		}
+		refl := moved(1.0)
+		switch {
+		case refl.v > simplex[0].v:
+			exp := moved(2.0)
+			if exp.v > refl.v {
+				simplex[d] = exp
+			} else {
+				simplex[d] = refl
+			}
+		case refl.v > simplex[d-1].v:
+			simplex[d] = refl
+		default:
+			con := moved(-0.5)
+			if con.v > worst.v {
+				simplex[d] = con
+			} else {
+				st.shrinks++
+				for i := 1; i <= d; i++ {
+					for j := range simplex[i].x {
+						simplex[i].x[j] = simplex[0].x[j] + 0.5*(simplex[i].x[j]-simplex[0].x[j])
+					}
+					simplex[i].v = eval(simplex[i].x)
+					if st.evals >= opts.MaxEvals {
+						if i < d {
+							st.cutShrinks++
+						}
+						break
+					}
+				}
+			}
+		}
+		sortSimplex()
+	}
+	return append([]float64(nil), simplex[0].x...), simplex[0].v, st
+}
+
+// terraced is a staircase with a gentle tilt: the flat treads tie vertex
+// values (so the unstable sort's tie order matters) and defeat most
+// contractions, which makes the simplex shrink often.
+func terraced(x []float64) float64 {
+	s := 0.0
+	for i, v := range x {
+		s += math.Floor(4*v) - 0.01*float64(i+1)*v*v
+	}
+	return s
+}
+
+// TestLockstepRefineMatchesSequential pins the lockstep refiner to the
+// sequential search it replaced: every start ends on the same point and
+// value, bit for bit, and the evaluations add up. The budgets run out in
+// every phase, including in the middle of a shrink.
+func TestLockstepRefineMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	var shrinks, cutShrinks int
+	for _, d := range []int{1, 2, 3, 6} {
+		lo := make([]float64, d)
+		hi := make([]float64, d)
+		for i := range hi {
+			lo[i], hi[i] = -1, 1.5
+		}
+		for _, f := range []Objective{terraced, negSphere(make([]float64, d))} {
+			for budget := d + 1; budget <= 30*d; budget += 1 + d/2 {
+				starts := make([][]float64, 3)
+				for i := range starts {
+					starts[i] = make([]float64, d)
+					for j := range starts[i] {
+						starts[i][j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
+					}
+				}
+				opts := NelderMeadOptions{MaxEvals: budget}
+				calls := 0
+				counted := func(x []float64) float64 {
+					calls++
+					return f(x)
+				}
+				got := refineLockstep(Pointwise(counted), starts, lo, hi, opts)
+				want := 0
+				for i, x0 := range starts {
+					wx, wv, st := nelderMeadReference(f, x0, lo, hi, opts)
+					want += st.evals
+					shrinks += st.shrinks
+					cutShrinks += st.cutShrinks
+					sx, sv := NelderMead(f, x0, lo, hi, opts)
+					for _, r := range []vertex{got[i], {sx, sv}} {
+						if math.Float64bits(r.v) != math.Float64bits(wv) {
+							t.Fatalf("d=%d budget=%d start %d: value %v, sequential %v", d, budget, i, r.v, wv)
+						}
+						for j := range wx {
+							if math.Float64bits(r.x[j]) != math.Float64bits(wx[j]) {
+								t.Fatalf("d=%d budget=%d start %d: x %v, sequential %v", d, budget, i, r.x, wx)
+							}
+						}
+					}
+				}
+				if calls != want {
+					t.Fatalf("d=%d budget=%d: %d evaluations, sequential searches made %d", d, budget, calls, want)
+				}
+			}
+		}
+	}
+	if shrinks == 0 || cutShrinks == 0 {
+		t.Fatalf("objectives never exercised the shrink (%d) or a budget-cut shrink (%d)", shrinks, cutShrinks)
 	}
 }

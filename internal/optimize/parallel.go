@@ -9,32 +9,33 @@ import (
 	"easybo/internal/stats"
 )
 
-// ObjectiveFactory builds an Objective for exclusive use by one worker
-// goroutine. Factories let objectives carry per-worker scratch (e.g. a
-// gp.Predictor) so the hot loop allocates nothing while staying safe under
-// concurrency.
-type ObjectiveFactory func() Objective
+// ObjectiveFactory builds a BatchObjective for exclusive use by one
+// goroutine. Factories let objectives carry per-goroutine scratch (e.g. a
+// surrogate predictor) so the hot loop allocates nothing while staying safe
+// under concurrency.
+type ObjectiveFactory func() BatchObjective
 
-// MaximizeParallel is the multi-start global maximizer with the candidate
-// sweep and the simplex refinements fanned out across Workers goroutines:
-// a Latin-hypercube candidate sweep, then Nelder-Mead refinement of the best
-// candidates, reduced to the single best point found.
+// sweepBlock is how many candidates one objective call scores during the
+// sweep: a surrogate predicts a block of points with one multi-column
+// triangular solve, and four columns is the widest kernel it has.
+const sweepBlock = 4
+
+// MaximizeParallel is the multi-start global maximizer: a Latin-hypercube
+// candidate sweep, fanned out in blocks of sweepBlock points across Workers
+// goroutines, then Nelder–Mead refinement of the best candidates, reduced
+// to the single best point found. The refinements advance in lockstep on
+// the calling goroutine, so each of their rounds is one batch evaluation
+// holding a point (or a few) from every live simplex.
 //
 // Determinism: every random draw happens up front on the caller's rng
 // (candidate locations), candidate values are written by index, the top
-// candidates are ranked with an explicit index tie-break, and the final
-// reduction prefers the lower-ranked start on equal values — so the result
-// is bit-identical for any worker count, including 1.
+// candidates are ranked with an explicit index tie-break, each refinement
+// sees only its own values, and the final reduction prefers the
+// lower-ranked start on equal values — so the result is bit-identical for
+// any worker count, including 1.
 func MaximizeParallel(newF ObjectiveFactory, lo, hi []float64, rng *rand.Rand, opts MaximizeOptions) ([]float64, float64) {
 	d := len(lo)
 	opts.defaults(d)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > opts.Candidates {
-		workers = opts.Candidates
-	}
 
 	unit := stats.LatinHypercube(rng, opts.Candidates, d)
 	pts := make([][]float64, len(unit))
@@ -47,25 +48,33 @@ func MaximizeParallel(newF ObjectiveFactory, lo, hi []float64, rng *rand.Rand, o
 	}
 
 	vals := make([]float64, len(pts))
-	if workers == 1 {
-		f := newF()
-		for i, x := range pts {
-			vals[i] = f(x)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				f := newF()
-				for i := w; i < len(pts); i += workers {
-					vals[i] = f(pts[i])
-				}
-			}(w)
-		}
-		wg.Wait()
+	blocks := (len(pts) + sweepBlock - 1) / sweepBlock
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	if workers > blocks {
+		workers = blocks
+	}
+	sweep := func(w int, f BatchObjective) {
+		for b := w; b < blocks; b += workers {
+			i, j := b*sweepBlock, min((b+1)*sweepBlock, len(pts))
+			f(pts[i:j], vals[i:j])
+		}
+	}
+	// The calling goroutine is worker 0 and keeps its objective for the
+	// refinements.
+	f := newF()
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sweep(w, newF())
+		}(w)
+	}
+	sweep(0, f)
+	wg.Wait()
 
 	order := make([]int, len(pts))
 	for i := range order {
@@ -80,48 +89,18 @@ func MaximizeParallel(newF ObjectiveFactory, lo, hi []float64, rng *rand.Rand, o
 		return ia < ib
 	})
 
-	nref := opts.Refine
-	if nref > len(order) {
-		nref = len(order)
+	nref := min(opts.Refine, len(order))
+	starts := make([][]float64, nref)
+	for r := range starts {
+		starts[r] = pts[order[r]]
 	}
-	type refined struct {
-		x []float64
-		v float64
-	}
-	res := make([]refined, nref)
-	refine := func(r int, f Objective) {
-		x, v := NelderMead(f, pts[order[r]], lo, hi, NelderMeadOptions{MaxEvals: opts.RefineEval})
-		res[r] = refined{x, v}
-	}
-	if workers == 1 || nref <= 1 {
-		f := newF()
-		for r := 0; r < nref; r++ {
-			refine(r, f)
-		}
-	} else {
-		var wg sync.WaitGroup
-		rw := workers
-		if rw > nref {
-			rw = nref
-		}
-		for w := 0; w < rw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				f := newF()
-				for r := w; r < nref; r += rw {
-					refine(r, f)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	res := refineLockstep(f, starts, lo, hi, NelderMeadOptions{MaxEvals: opts.RefineEval})
 
 	bestX := pts[order[0]]
 	bestV := vals[order[0]]
-	for r := 0; r < nref; r++ {
-		if res[r].v > bestV {
-			bestX, bestV = res[r].x, res[r].v
+	for _, r := range res {
+		if r.v > bestV {
+			bestX, bestV = r.x, r.v
 		}
 	}
 	return append([]float64(nil), bestX...), bestV

@@ -216,3 +216,42 @@ func BenchmarkSurrogateSuggestFeaturesN2000(b *testing.B) {
 			rand.New(rand.NewSource(1)), surrogate.DefaultFeatures)
 	})
 }
+
+// benchAcqMaximize measures one acquisition maximization — the candidate
+// sweep plus the simplex refinements — on a frozen d=6, n=100 surrogate:
+// the EasyBO weighted acquisition without busy points, so no
+// hallucination or fit is timed. Each iteration draws a fresh weight and
+// candidate set from its own seed.
+func benchAcqMaximize(b *testing.B, s surrogate.Surrogate) {
+	b.Helper()
+	_, _, lo, hi := benchData(1)
+	prop := &core.Proposer{Lambda: 6}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(int64(i)))
+		if _, _, err := prop.Propose(s, nil, lo, hi, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAcqMaximizeExact(b *testing.B) {
+	x, y, lo, hi := benchData(100)
+	m, err := gp.Train(x, y, lo, hi, nil,
+		&gp.TrainOptions{FixedTheta: benchTheta(), FixedNoise: benchLogNoise})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchAcqMaximize(b, surrogate.NewExact(m))
+}
+
+func BenchmarkAcqMaximizeFeatures(b *testing.B) {
+	x, y, lo, hi := benchData(100)
+	fm, err := surrogate.FitFeatures(x, y, lo, hi, benchTheta(), benchLogNoise,
+		rand.New(rand.NewSource(1)), surrogate.DefaultFeatures)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchAcqMaximize(b, fm)
+}

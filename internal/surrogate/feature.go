@@ -227,42 +227,57 @@ func (fm *FeatureModel) SampleRFF(rng *rand.Rand, _ int) (func(x []float64) floa
 type featurePredictor struct {
 	fm           *FeatureModel
 	standardized bool
-	xs           []float64 // scaled-input scratch (d)
-	phi          []float64 // feature scratch (m)
-	sol          []float64 // triangular-solve scratch (m)
+	xs           []float64   // scaled-input scratch (d)
+	phi          [][]float64 // feature vectors, one per point of a batch (m each)
 }
 
 func (fm *FeatureModel) newPredictor(standardized bool) *featurePredictor {
 	m := fm.basis.Features()
 	return &featurePredictor{
 		fm: fm, standardized: standardized,
-		xs: make([]float64, len(fm.lo)), phi: make([]float64, m), sol: make([]float64, m),
+		xs: make([]float64, len(fm.lo)), phi: [][]float64{make([]float64, m)},
 	}
 }
 
-// Predict implements Predictor.
+// Predict implements Predictor as the one-point case of PredictBatch.
 func (p *featurePredictor) Predict(x []float64) (mu, sigma float64) {
+	var m, s [1]float64
+	p.PredictBatch([][]float64{x}, m[:], s[:])
+	return m[0], s[0]
+}
+
+// PredictBatch implements Predictor. σ² = φᵀA⁻¹φ = ‖L⁻¹φ‖², and one
+// multi-column triangular solve turns the whole block of feature vectors
+// into L⁻¹Φ in place.
+func (p *featurePredictor) PredictBatch(xs [][]float64, mu, sigma []float64) {
 	fm := p.fm
-	fm.basis.PhiInto(p.phi, fm.scaleInto(p.xs, x))
-	mu = linalg.Dot(p.phi, fm.wmean)
-	// σ² = φᵀA⁻¹φ = ‖L⁻¹φ‖².
-	fm.chol.SolveLowerInto(p.sol, p.phi)
-	s2 := linalg.Dot(p.sol, p.sol)
-	if s2 < 0 {
-		s2 = 0
+	for len(p.phi) < len(xs) {
+		p.phi = append(p.phi, make([]float64, fm.basis.Features()))
 	}
-	sigma = math.Sqrt(s2)
-	if p.standardized {
-		return mu, sigma
+	phi := p.phi[:len(xs)]
+	for j, x := range xs {
+		fm.basis.PhiInto(phi[j], fm.scaleInto(p.xs, x))
+		mu[j] = linalg.Dot(phi[j], fm.wmean)
 	}
-	return mu*fm.ystd + fm.ymean, sigma * fm.ystd
+	fm.chol.SolveLowerBlockInto(phi, phi)
+	for j := range phi {
+		s2 := linalg.Dot(phi[j], phi[j])
+		if s2 < 0 {
+			s2 = 0
+		}
+		sigma[j] = math.Sqrt(s2)
+		if !p.standardized {
+			mu[j] = mu[j]*fm.ystd + fm.ymean
+			sigma[j] *= fm.ystd
+		}
+	}
 }
 
 // PredictMean implements Predictor (skips the triangular solve).
 func (p *featurePredictor) PredictMean(x []float64) float64 {
 	fm := p.fm
-	fm.basis.PhiInto(p.phi, fm.scaleInto(p.xs, x))
-	mu := linalg.Dot(p.phi, fm.wmean)
+	fm.basis.PhiInto(p.phi[0], fm.scaleInto(p.xs, x))
+	mu := linalg.Dot(p.phi[0], fm.wmean)
 	if p.standardized {
 		return mu
 	}

@@ -33,6 +33,13 @@ import (
 type Predictor interface {
 	// Predict returns the posterior mean and standard deviation at x.
 	Predict(x []float64) (mu, sigma float64)
+	// PredictBatch writes the posterior mean and standard deviation at
+	// every xs[j] into mu[j] and sigma[j] (both at least len(xs) long).
+	// Each result equals Predict(xs[j]) bit for bit, whatever else is in
+	// the batch: predicting a block of points shares the triangular solve
+	// across them, never changes what any one of them gets. Like Predict it
+	// runs on the calling goroutine.
+	PredictBatch(xs [][]float64, mu, sigma []float64)
 	// PredictMean returns only the posterior mean (often cheaper).
 	PredictMean(x []float64) float64
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"easybo/internal/gp"
+	"easybo/internal/linalg"
 )
 
 // fixture builds the shared exact-vs-feature test problem: a smooth 2-D
@@ -341,5 +342,85 @@ func TestParseBackend(t *testing.T) {
 	}
 	if _, err := ParseBackend("gp"); err == nil {
 		t.Fatal("unknown backend must be rejected")
+	}
+}
+
+// featureScalarPredict is the one-point feature-space posterior with its
+// own forward solve — the arithmetic every prediction used before
+// predictions were batched.
+func featureScalarPredict(fm *FeatureModel, x []float64, standardized bool) (mu, sigma float64) {
+	phi := fm.basis.Phi(fm.scaleInto(make([]float64, len(x)), x))
+	mu = linalg.Dot(phi, fm.wmean)
+	sol := fm.chol.SolveLower(phi)
+	s2 := linalg.Dot(sol, sol)
+	if s2 < 0 {
+		s2 = 0
+	}
+	sigma = math.Sqrt(s2)
+	if standardized {
+		return mu, sigma
+	}
+	return mu*fm.ystd + fm.ymean, sigma * fm.ystd
+}
+
+// TestPredictBatchMatchesPredict pins the Predictor.PredictBatch contract
+// on both backends, raw and standardized, on the fitted posterior and on a
+// WithPseudo view: every batch width from 1 to 9 (the 4-column solve and
+// each tail) returns, point by point, bit for bit what a fresh predictor's
+// Predict does — and, on the feature backend, what the one-point scalar
+// solve does.
+func TestPredictBatchMatchesPredict(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	x, y, lo, hi := fixture(rng, 40)
+	em, err := gp.Train(x, y, lo, hi, rng,
+		&gp.TrainOptions{FixedTheta: fixtureTheta, FixedNoise: fixtureLogNoise})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm, err := FitFeatures(x, y, lo, hi, fixtureTheta, fixtureLogNoise, rng, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := [][]float64{{0.2, 0.3}, {0.8, 0.6}}
+	for _, base := range []Surrogate{NewExact(em), fm} {
+		pseudo, err := base.WithPseudo(busy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for vi, s := range []Surrogate{base, pseudo} {
+			for _, standardized := range []bool{false, true} {
+				view := func() Predictor {
+					if standardized {
+						return s.StandardizedPredictor()
+					}
+					return s.Predictor()
+				}
+				p, ref := view(), view()
+				for w := 1; w <= 9; w++ {
+					xs := make([][]float64, w)
+					for j := range xs {
+						xs[j] = []float64{rng.Float64(), rng.Float64()}
+					}
+					xs[w-1] = busy[0] // a hallucinated point: σ near zero on the pseudo view
+					mu := make([]float64, w)
+					sigma := make([]float64, w)
+					p.PredictBatch(xs, mu, sigma)
+					for j, xq := range xs {
+						wm, ws := ref.Predict(xq)
+						if fv, ok := s.(*FeatureModel); ok {
+							fmu, fsigma := featureScalarPredict(fv, xq, standardized)
+							if math.Float64bits(wm) != math.Float64bits(fmu) || math.Float64bits(ws) != math.Float64bits(fsigma) {
+								t.Fatalf("features view %d std=%v: Predict (%v,%v), scalar solve (%v,%v)",
+									vi, standardized, wm, ws, fmu, fsigma)
+							}
+						}
+						if math.Float64bits(mu[j]) != math.Float64bits(wm) || math.Float64bits(sigma[j]) != math.Float64bits(ws) {
+							t.Fatalf("%T view %d std=%v w=%d point %d: PredictBatch (%v,%v), Predict (%v,%v)",
+								s, vi, standardized, w, j, mu[j], sigma[j], wm, ws)
+						}
+					}
+				}
+			}
+		}
 	}
 }
