@@ -72,7 +72,7 @@ type Config struct {
 
 	// Inner acquisition maximizer.
 	AcqCandidates int // candidate sweep size (default 60·d, min 200)
-	AcqRefine     int // simplex refinements (default 2)
+	AcqRefine     int // simplex refinements (default 3)
 
 	// Baseline knobs.
 	KappaLCB float64 // LCB/UCB κ (default 2.0)

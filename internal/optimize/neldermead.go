@@ -279,10 +279,11 @@ type MaximizeOptions struct {
 	Refine     int // top candidates refined with Nelder-Mead (default 3)
 	RefineEval int // simplex evaluation budget per refinement (default 40·d)
 	// Workers is the number of goroutines sweeping the candidates
-	// concurrently (default GOMAXPROCS); the refinements run in lockstep
-	// on the calling goroutine. The result is identical for every worker
-	// count: all randomness is drawn before the fan-out and the reduction
-	// is order-independent. Set 1 to force the serial path.
+	// concurrently (default GOMAXPROCS), and the most lockstep groups the
+	// refinements are dealt to while CPUs are idle. The result is
+	// identical for every worker count: all randomness is drawn before
+	// the fan-out and the reduction is order-independent. Set 1 to force
+	// the serial path.
 	Workers int
 }
 

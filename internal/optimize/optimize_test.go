@@ -1,9 +1,11 @@
 package optimize
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -336,10 +338,24 @@ func terraced(x []float64) float64 {
 	return s
 }
 
-// TestLockstepRefineMatchesSequential pins the lockstep refiner to the
-// sequential search it replaced: every start ends on the same point and
-// value, bit for bit, and the evaluations add up. The budgets run out in
-// every phase, including in the middle of a shrink.
+// sameVertex fails unless got is want bit for bit.
+func sameVertex(t *testing.T, got, want vertex, what string, d, budget, start int) {
+	t.Helper()
+	if math.Float64bits(got.v) != math.Float64bits(want.v) {
+		t.Fatalf("%s d=%d budget=%d start %d: value %v, sequential %v", what, d, budget, start, got.v, want.v)
+	}
+	for j := range want.x {
+		if math.Float64bits(got.x[j]) != math.Float64bits(want.x[j]) {
+			t.Fatalf("%s d=%d budget=%d start %d: x %v, sequential %v", what, d, budget, start, got.x, want.x)
+		}
+	}
+}
+
+// TestLockstepRefineMatchesSequential pins the lockstep refiners to the
+// sequential search they replaced: however the starts are dealt to
+// lockstep groups, every start ends on the same point and value, bit for
+// bit, and the evaluations add up. The budgets run out in every phase,
+// including in the middle of a shrink.
 func TestLockstepRefineMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	var shrinks, cutShrinks int
@@ -359,32 +375,33 @@ func TestLockstepRefineMatchesSequential(t *testing.T) {
 					}
 				}
 				opts := NelderMeadOptions{MaxEvals: budget}
-				calls := 0
-				counted := func(x []float64) float64 {
-					calls++
-					return f(x)
-				}
-				got := refineLockstep(Pointwise(counted), starts, lo, hi, opts)
-				want := 0
+				want := make([]vertex, len(starts))
+				wantEvals := 0
 				for i, x0 := range starts {
 					wx, wv, st := nelderMeadReference(f, x0, lo, hi, opts)
-					want += st.evals
+					want[i] = vertex{wx, wv}
+					wantEvals += st.evals
 					shrinks += st.shrinks
 					cutShrinks += st.cutShrinks
 					sx, sv := NelderMead(f, x0, lo, hi, opts)
-					for _, r := range []vertex{got[i], {sx, sv}} {
-						if math.Float64bits(r.v) != math.Float64bits(wv) {
-							t.Fatalf("d=%d budget=%d start %d: value %v, sequential %v", d, budget, i, r.v, wv)
-						}
-						for j := range wx {
-							if math.Float64bits(r.x[j]) != math.Float64bits(wx[j]) {
-								t.Fatalf("d=%d budget=%d start %d: x %v, sequential %v", d, budget, i, r.x, wx)
-							}
-						}
-					}
+					sameVertex(t, vertex{sx, sv}, want[i], "NelderMead", d, budget, i)
 				}
-				if calls != want {
-					t.Fatalf("d=%d budget=%d: %d evaluations, sequential searches made %d", d, budget, calls, want)
+				for groups := 1; groups <= len(starts); groups++ {
+					var calls atomic.Int64
+					counted := func() BatchObjective {
+						return Pointwise(func(x []float64) float64 {
+							calls.Add(1)
+							return f(x)
+						})
+					}
+					got := refineGroups(counted(), counted, starts, groups, lo, hi, opts)
+					for i := range starts {
+						sameVertex(t, got[i], want[i], fmt.Sprintf("%d lockstep groups", groups), d, budget, i)
+					}
+					if n := int(calls.Load()); n != wantEvals {
+						t.Fatalf("d=%d budget=%d groups=%d: %d evaluations, sequential searches made %d",
+							d, budget, groups, n, wantEvals)
+					}
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"easybo/internal/stats"
 )
@@ -20,19 +21,32 @@ type ObjectiveFactory func() BatchObjective
 // triangular solve, and four columns is the widest kernel it has.
 const sweepBlock = 4
 
+// running counts the goroutines that maximizations in this process are
+// running right now. It decides only how the refinements are spread over
+// goroutines, never what they compute.
+var running atomic.Int32
+
 // MaximizeParallel is the multi-start global maximizer: a Latin-hypercube
 // candidate sweep, fanned out in blocks of sweepBlock points across Workers
 // goroutines, then Nelder–Mead refinement of the best candidates, reduced
-// to the single best point found. The refinements advance in lockstep on
-// the calling goroutine, so each of their rounds is one batch evaluation
-// holding a point (or a few) from every live simplex.
+// to the single best point found.
+//
+// The refinements advance in lockstep: each round is one batch evaluation
+// holding a point (or a few) from every simplex of a group. Where a batch
+// costs about what one point does — a surrogate's multi-column solve — one
+// group on the calling goroutine does all the refinements for a fraction
+// of the CPU. Where per-point work dominates (the exact GP's kernel
+// vectors at small n) a second group halves the wall time, but only on an
+// idle CPU. So the refinements are dealt to min(Workers, Refine) groups,
+// each on its own goroutine, only while the maximizations running in the
+// process leave a CPU free; otherwise they form one group.
 //
 // Determinism: every random draw happens up front on the caller's rng
 // (candidate locations), candidate values are written by index, the top
 // candidates are ranked with an explicit index tie-break, each refinement
-// sees only its own values, and the final reduction prefers the
-// lower-ranked start on equal values — so the result is bit-identical for
-// any worker count, including 1.
+// sees only its own values whatever its group, and the final reduction
+// prefers the lower-ranked start on equal values — so the result is
+// bit-identical for any worker count and grouping, including 1.
 func MaximizeParallel(newF ObjectiveFactory, lo, hi []float64, rng *rand.Rand, opts MaximizeOptions) ([]float64, float64) {
 	d := len(lo)
 	opts.defaults(d)
@@ -64,12 +78,16 @@ func MaximizeParallel(newF ObjectiveFactory, lo, hi []float64, rng *rand.Rand, o
 	}
 	// The calling goroutine is worker 0 and keeps its objective for the
 	// refinements.
+	running.Add(1)
+	defer running.Add(-1)
 	f := newF()
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
+		running.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer running.Add(-1)
 			sweep(w, newF())
 		}(w)
 	}
@@ -89,12 +107,15 @@ func MaximizeParallel(newF ObjectiveFactory, lo, hi []float64, rng *rand.Rand, o
 		return ia < ib
 	})
 
-	nref := min(opts.Refine, len(order))
-	starts := make([][]float64, nref)
+	starts := make([][]float64, min(opts.Refine, len(order)))
 	for r := range starts {
 		starts[r] = pts[order[r]]
 	}
-	res := refineLockstep(f, starts, lo, hi, NelderMeadOptions{MaxEvals: opts.RefineEval})
+	groups := 1
+	if int(running.Load()) < runtime.GOMAXPROCS(0) {
+		groups = min(workers, len(starts))
+	}
+	res := refineGroups(f, newF, starts, groups, lo, hi, NelderMeadOptions{MaxEvals: opts.RefineEval})
 
 	bestX := pts[order[0]]
 	bestV := vals[order[0]]
@@ -104,4 +125,36 @@ func MaximizeParallel(newF ObjectiveFactory, lo, hi []float64, rng *rand.Rand, o
 		}
 	}
 	return append([]float64(nil), bestX...), bestV
+}
+
+// refineGroups deals the starts round-robin to groups lockstep refiners:
+// group 0 runs on the calling goroutine with f, every other group on its
+// own goroutine with an objective from newF. It returns each start's best
+// vertex, in start order.
+func refineGroups(f BatchObjective, newF ObjectiveFactory, starts [][]float64, groups int,
+	lo, hi []float64, opts NelderMeadOptions) []vertex {
+
+	res := make([]vertex, len(starts))
+	group := func(g int, f BatchObjective) {
+		var mine [][]float64
+		for r := g; r < len(starts); r += groups {
+			mine = append(mine, starts[r])
+		}
+		for i, v := range refineLockstep(f, mine, lo, hi, opts) {
+			res[g+i*groups] = v
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 1; g < groups; g++ {
+		wg.Add(1)
+		running.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			defer running.Add(-1)
+			group(g, newF())
+		}(g)
+	}
+	group(0, f)
+	wg.Wait()
+	return res
 }
