@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -408,5 +409,32 @@ func TestLockstepRefineMatchesSequential(t *testing.T) {
 	}
 	if shrinks == 0 || cutShrinks == 0 {
 		t.Fatalf("objectives never exercised the shrink (%d) or a budget-cut shrink (%d)", shrinks, cutShrinks)
+	}
+}
+
+// TestMaximizeParallelConcurrentCallsAgree runs several maximizations at
+// once, so some find every CPU taken and refine in one lockstep group while
+// others spread over more: all must return the serial result bit for bit.
+func TestMaximizeParallelConcurrentCallsAgree(t *testing.T) {
+	lo := []float64{-1, -1, -1}
+	hi := []float64{2, 2, 2}
+	opts := MaximizeOptions{Candidates: 120, Refine: 3, Workers: 1}
+	wantX, wantV := Maximize(terraced, lo, hi, rand.New(rand.NewSource(9)), opts)
+	opts.Workers = 2
+	const calls = 6
+	got := make([]vertex, calls)
+	var wg sync.WaitGroup
+	for c := 0; c < calls; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			x, v := MaximizeParallel(func() BatchObjective { return Pointwise(terraced) },
+				lo, hi, rand.New(rand.NewSource(9)), opts)
+			got[c] = vertex{x, v}
+		}(c)
+	}
+	wg.Wait()
+	for c, r := range got {
+		sameVertex(t, r, vertex{wantX, wantV}, fmt.Sprintf("concurrent call %d", c), len(lo), 0, 0)
 	}
 }
