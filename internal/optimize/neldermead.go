@@ -115,7 +115,6 @@ const (
 	nmExpand
 	nmContract
 	nmShrink
-	nmDone
 )
 
 // simplexSearch is the Nelder–Mead search as a step machine, so several
@@ -242,8 +241,7 @@ func (s *simplexSearch) next() {
 	d := len(s.centroid)
 	if s.evals >= s.opts.MaxEvals ||
 		math.Abs(s.simplex[0].v-s.simplex[d].v) < s.opts.Tol*(1+math.Abs(s.simplex[0].v)) {
-		s.phase = nmDone
-		s.pending = s.pending[:0]
+		s.pending = s.pending[:0] // done: nothing left to evaluate
 		return
 	}
 	// Centroid of all but the worst.
