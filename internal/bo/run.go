@@ -96,17 +96,7 @@ func (c Config) modelDriven(p *objective.Problem, rng *rand.Rand, at *core.AskTe
 
 // initialDesign draws the paper's random initial design (LHS over the box).
 func initialDesign(p *objective.Problem, n int, rng *rand.Rand) [][]float64 {
-	d := p.Dim()
-	unit := stats.LatinHypercube(rng, n, d)
-	pts := make([][]float64, n)
-	for i, u := range unit {
-		x := make([]float64, d)
-		for j := range x {
-			x[j] = p.Lo[j] + u[j]*(p.Hi[j]-p.Lo[j])
-		}
-		pts[i] = x
-	}
-	return pts
+	return stats.LatinHypercubeIn(rng, n, p.Lo, p.Hi)
 }
 
 // uniformDesign draws n points uniformly over the box, in launch order.

@@ -238,7 +238,7 @@ func (n *Node) tryAdopt(id string, dead map[string]bool) bool {
 // ServeHTTP implements http.Handler: cluster admin routes, cluster-aware
 // probes, and owner-routed session traffic.
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	parts := splitPath(r.URL.Path)
+	parts := serve.SplitPath(r.URL.Path)
 	switch {
 	case len(parts) == 2 && parts[0] == "cluster":
 		n.serveCluster(w, r, parts[1])
@@ -570,16 +570,6 @@ func (n *Node) healHeldSessions(ctx context.Context) {
 			continue
 		}
 	}
-}
-
-func splitPath(p string) []string {
-	var parts []string
-	for _, s := range strings.Split(p, "/") {
-		if s != "" {
-			parts = append(parts, s)
-		}
-	}
-	return parts
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

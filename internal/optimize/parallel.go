@@ -51,15 +51,7 @@ func MaximizeParallel(newF ObjectiveFactory, lo, hi []float64, rng *rand.Rand, o
 	d := len(lo)
 	opts.defaults(d)
 
-	unit := stats.LatinHypercube(rng, opts.Candidates, d)
-	pts := make([][]float64, len(unit))
-	for i, u := range unit {
-		x := make([]float64, d)
-		for j := range x {
-			x[j] = lo[j] + u[j]*(hi[j]-lo[j])
-		}
-		pts[i] = x
-	}
+	pts := stats.LatinHypercubeIn(rng, opts.Candidates, lo, hi)
 
 	vals := make([]float64, len(pts))
 	blocks := (len(pts) + sweepBlock - 1) / sweepBlock

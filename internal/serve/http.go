@@ -357,7 +357,7 @@ func (sv *Server) lookup(id string) (*session, error) {
 
 // ServeHTTP implements http.Handler.
 func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	parts := splitPath(r.URL.Path)
+	parts := SplitPath(r.URL.Path)
 	switch {
 	case len(parts) == 1 && parts[0] == "healthz":
 		// Liveness: answers while a recovery replay is still running, so
@@ -394,7 +394,8 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func splitPath(p string) []string {
+// SplitPath splits a URL path into its non-empty segments.
+func SplitPath(p string) []string {
 	var parts []string
 	for _, s := range strings.Split(p, "/") {
 		if s != "" {

@@ -226,15 +226,7 @@ type session struct {
 // the per-session failure policy.
 func newMachine(cfg SessionConfig) (*core.AskTell, *core.ModelManager, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	d := len(cfg.Lo)
-	init := make([][]float64, 0, cfg.InitPoints)
-	for _, u := range stats.LatinHypercube(rng, cfg.InitPoints, d) {
-		x := make([]float64, d)
-		for j := range x {
-			x[j] = cfg.Lo[j] + u[j]*(cfg.Hi[j]-cfg.Lo[j])
-		}
-		init = append(init, x)
-	}
+	init := stats.LatinHypercubeIn(rng, cfg.InitPoints, cfg.Lo, cfg.Hi)
 	mm, err := core.NewModelManager(cfg.Lo, cfg.Hi, rng, core.ModelManagerOptions{
 		RefitEvery: cfg.RefitEvery,
 		FitIters:   cfg.FitIters,

@@ -29,6 +29,19 @@ func LatinHypercube(rng *rand.Rand, n, d int) [][]float64 {
 	return pts
 }
 
+// LatinHypercubeIn is LatinHypercube scaled into the box [lo, hi]: each
+// coordinate u of the unit design becomes lo + u*(hi-lo). The dimension is
+// len(lo).
+func LatinHypercubeIn(rng *rand.Rand, n int, lo, hi []float64) [][]float64 {
+	pts := LatinHypercube(rng, n, len(lo))
+	for _, x := range pts {
+		for j := range x {
+			x[j] = lo[j] + x[j]*(hi[j]-lo[j])
+		}
+	}
+	return pts
+}
+
 // Uniform returns n points drawn uniformly from [0,1)^d.
 func Uniform(rng *rand.Rand, n, d int) [][]float64 {
 	pts := make([][]float64, n)

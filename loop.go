@@ -78,14 +78,7 @@ func newAskTell(ip *objective.Problem, opts Options, base core.AskTellConfig) (*
 		return nil, fmt.Errorf("easybo: %w", err)
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	d := ip.Dim()
-	for _, u := range stats.LatinHypercube(rng, opts.InitPoints, d) {
-		x := make([]float64, d)
-		for j := range x {
-			x[j] = ip.Lo[j] + u[j]*(ip.Hi[j]-ip.Lo[j])
-		}
-		base.Init = append(base.Init, x)
-	}
+	base.Init = append(base.Init, stats.LatinHypercubeIn(rng, opts.InitPoints, ip.Lo, ip.Hi)...)
 	mm, err := core.NewModelManager(ip.Lo, ip.Hi, rng, core.ModelManagerOptions{
 		RefitEvery: opts.RefitEvery,
 		FitIters:   opts.FitIters,
