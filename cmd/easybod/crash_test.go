@@ -8,7 +8,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -247,6 +249,30 @@ func finalStatus(d *daemon, id string) statusResp {
 	var st statusResp
 	d.mustCall("GET", "/sessions/"+id, nil, &st, http.StatusOK)
 	return st
+}
+
+// TestBootRejectsUnknownFsyncPolicy: an unknown -fsync value stops the
+// daemon before it binds, with an error naming the valid policies.
+func TestBootRejectsUnknownFsyncPolicy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test is not -short friendly")
+	}
+	bin, err := buildEasybod()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A daemon that accepted the policy would serve forever; the deadline
+	// turns that into a failure instead of a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", "-data-dir", t.TempDir(), "-fsync", "sometimes").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("err %v, want exit status 2; output:\n%s", err, out)
+	}
+	if !bytes.Contains(out, []byte("want always, interval, or off")) {
+		t.Fatalf("output does not name the valid policies:\n%s", out)
+	}
 }
 
 // referenceRun completes the session on one uninterrupted daemon.

@@ -49,6 +49,10 @@
 //	          buffered tail; recovery then restarts from a clean earlier
 //	          prefix (never a corrupt state).
 //
+// A failed flush or fsync under always is sticky: the log refuses every
+// later append and durability wait with the same error, so nothing is
+// acknowledged past a disk that stopped accepting writes.
+//
 // The ticket for "an fsync covering its record" is the record's sequence
 // number: Append returns it, WaitDurable blocks on it. Within one log an
 // fsync covers the whole byte prefix written so far, so a sync that covers

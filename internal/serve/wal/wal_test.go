@@ -65,6 +65,34 @@ func loadOne(t *testing.T, st *Store, id string) serve.PersistedSession {
 	return ps[0]
 }
 
+// TestParsePolicy: the empty name selects the interval default, the three
+// policy names parse to themselves, and anything else is refused with an
+// error that names the valid policies.
+func TestParsePolicy(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Policy
+	}{
+		{"", PolicyInterval},
+		{"always", PolicyAlways},
+		{"interval", PolicyInterval},
+		{"off", PolicyOff},
+		{"Always", ""},
+		{"sometimes", ""},
+	} {
+		got, err := ParsePolicy(tc.in)
+		if tc.want == "" {
+			if err == nil || !strings.Contains(err.Error(), "want always, interval, or off") {
+				t.Errorf("ParsePolicy(%q) = %q, %v; want an error naming the policies", tc.in, got, err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParsePolicy(%q) = %q, %v; want %q", tc.in, got, err, tc.want)
+		}
+	}
+}
+
 func TestWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	for _, pol := range []Policy{PolicyAlways, PolicyInterval, PolicyOff} {
