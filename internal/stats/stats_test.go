@@ -86,6 +86,23 @@ func TestLatinHypercubeStratification(t *testing.T) {
 	}
 }
 
+// TestLatinHypercubeInScalesUnitDesign: the box design is the unit design
+// of the same draw mapped through lo + u*(hi-lo), bit for bit, which is
+// what keeps the golden histories unchanged.
+func TestLatinHypercubeInScalesUnitDesign(t *testing.T) {
+	lo, hi := []float64{-2, 0.5, 10}, []float64{3, 0.75, 1e4}
+	unit := LatinHypercube(rand.New(rand.NewSource(9)), 12, len(lo))
+	box := LatinHypercubeIn(rand.New(rand.NewSource(9)), 12, lo, hi)
+	for i := range unit {
+		for j := range lo {
+			want := lo[j] + unit[i][j]*(hi[j]-lo[j])
+			if math.Float64bits(box[i][j]) != math.Float64bits(want) {
+				t.Fatalf("point %d dim %d = %v, want %v", i, j, box[i][j], want)
+			}
+		}
+	}
+}
+
 func TestLatinHypercubeDeterministic(t *testing.T) {
 	a := LatinHypercube(rand.New(rand.NewSource(5)), 10, 3)
 	b := LatinHypercube(rand.New(rand.NewSource(5)), 10, 3)
